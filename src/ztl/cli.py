@@ -159,8 +159,9 @@ def _sweep_cell(task):
 def _sweep_grid(cfg: RunConfig) -> list[tuple]:
     if not cfg.k_list or not cfg.m_list or not cfg.theta_list or not cfg.identity:
         raise UsageError("sweep grids must be non-empty")
+    expand_all = "all" in cfg.identity
     tasks = []
-    for identity in cfg.identity:
+    for identity in identities.IDENTITY_NAMES if expand_all else cfg.identity:
         k_list = cfg.k_list
         m_list: list[int | None] = list(cfg.m_list)
         theta_list: list[str | None] = list(cfg.theta_list)
@@ -168,6 +169,10 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple]:
             k_list = [2 if identity == "dixit" else 1]
         if identity in ("quasimodular", "eta"):
             m_list = [None]
+        if identity == "eisenstein" and expand_all:
+            # 'all' narrows eisenstein to the m it accepts, as the other
+            # identities collapse the grid axes they lack
+            m_list = [m for m in m_list if m > 1]
         if identity == "lerch":
             theta_list = [None]
         for k in k_list:
@@ -252,10 +257,8 @@ def _build_config(args) -> RunConfig:
         trace=bool(args.trace or conf.get("trace") in ("1", "true", "yes")),
         timing=bool(getattr(args, "timing", False) or conf.get("timing") in ("1", "true", "yes")),
     )
-    if "all" in cfg.identity:
-        cfg.identity = list(identities.IDENTITY_NAMES)
     for name in cfg.identity:
-        if name not in identities.IDENTITY_NAMES:
+        if name != "all" and name not in identities.IDENTITY_NAMES:
             raise UsageError(f"unknown identity {name!r}")
     return cfg
 
@@ -309,7 +312,7 @@ def cmd_psi(args) -> int:
 # selftest
 
 def cmd_selftest(args) -> int:
-    digits = args.digits or int(os.environ.get("ZTL_DIGITS", "40") if False else 40)
+    digits = args.digits or 40
     ok = selftest.run(digits=digits, name_filter=args.filter or "")
     return EXIT_PASS if ok else EXIT_FAIL
 

@@ -8,6 +8,7 @@ constraint alpha*beta = pi^2 holds by construction and never drifts.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,17 +160,10 @@ def bernoulli_block_coeffs(k: int, m: int) -> list[Fraction]:
     for j in range(0, m + 2):
         num = (special.bernoulli_frac(2 * m - 2 * j + 2) ** k
                * special.bernoulli_frac(2 * j) ** k)
-        den = (Fraction(_fact_int(2 * m - 2 * j + 2)) ** k
-               * Fraction(_fact_int(2 * j)) ** k)
+        den = (Fraction(math.factorial(2 * m - 2 * j + 2)) ** k
+               * Fraction(math.factorial(2 * j)) ** k)
         out.append((-1) ** j * num / den)
     return out
-
-
-def _fact_int(n: int) -> int:
-    r = 1
-    for i in range(2, n + 1):
-        r *= i
-    return r
 
 
 def bernoulli_block(k: int, m: int, alpha, beta, ctx: PrecisionContext):
@@ -280,7 +274,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
         for j in range(0, m + 2):
             q = ((-1) ** j * special.bernoulli_frac(2 * j) ** 2
                  * special.bernoulli_frac(2 * m + 2 - 2 * j) ** 2
-                 / (Fraction(_fact_int(2 * j)) ** 2 * Fraction(_fact_int(2 * m + 2 - 2 * j)) ** 2))
+                 / (Fraction(math.factorial(2 * j)) ** 2 * Fraction(math.factorial(2 * m + 2 - 2 * j)) ** 2))
             blk += mpf(q.numerator) / q.denominator * alpha ** (2 * j) * beta ** (2 * m + 2 - 2 * j)
         sgn = -1 if m % 2 else 1
         rhs = sgn * beta ** (-2 * m) * bracket(beta) - mpf(2) ** (4 * m) * mp.pi * blk
@@ -367,7 +361,7 @@ def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationR
         for j in range(0, m + 2):
             bsum += ((-1) ** (j + 1) * special.bernoulli_frac(2 * m - 2 * j + 2) ** k
                      * special.bernoulli_frac(2 * j) ** k
-                     / (Fraction(_fact_int(2 * m - 2 * j + 2)) * _fact_int(2 * j)) ** k)
+                     / (Fraction(math.factorial(2 * m - 2 * j + 2)) * math.factorial(2 * j)) ** k)
         rhs = (derivative_term(k, m, rho, ctx)
                + mpf(2) ** (2 * k * m - k) * mp.pi ** (2 * k * m + 2 * k - 1)
                * mpf(bsum.numerator) / bsum.denominator)

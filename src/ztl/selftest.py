@@ -7,6 +7,7 @@ digits >= 40, 10^-(digits-10) below, so --digits 15 relaxes to 1e-5).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -133,7 +134,7 @@ def check_bernoulli_recurrence(ctx):
     for m in range(1, 65):
         acc = Fraction(0)
         for j in range(m):
-            acc += Fraction(_comb(m + 1, j)) * tab[j]
+            acc += Fraction(math.comb(m + 1, j)) * tab[j]
         if acc != -tab[m] * (m + 1):
             return False, f"recurrence fails at m={m}"
     if tab[0] != 1 or tab[1] != Fraction(-1, 2) or any(tab[2 * j + 1] != 0 for j in range(1, 31)):
@@ -141,14 +142,8 @@ def check_bernoulli_recurrence(ctx):
     return True, "exact recurrence holds through B_64"
 
 
-def _comb(n, k):
-    import math
-    return math.comb(n, k)
-
-
 def check_divisor_multiplicative(ctx):
     tab3 = special.divisor_sieve(3, 500)
-    import math
     for (p, e) in [(2, 3), (3, 2), (5, 2), (7, 1), (13, 1)]:
         n = p ** e
         if n <= 500 and tab3.d(n) != math.comb(e + 2, 2):

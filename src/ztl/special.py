@@ -1,16 +1,18 @@
 """Scalar special functions and integer sequences.
 
-Complex Gamma (shifted Stirling + reflection), complex Riemann zeta
-(Euler-Maclaurin + functional equation), exact rational Bernoulli numbers,
-modified Bessel K0 / K_{1/2}, the Piltz divisor sieve, and Lambert series.
+Complex Gamma (mpmath's, behind a pole check and a memo), complex Riemann
+zeta (Euler-Maclaurin + functional equation), exact rational Bernoulli
+numbers, modified Bessel K0 / K_{1/2}, the Piltz divisor sieve, and Lambert
+series.
 
 Two evaluation surfaces coexist:
 
 * scalar ``gamma``/``zeta`` for arbitrary points (memoized, used for
   Cauchy-circle nodes and direct calls);
 * ``zeta_vertical_run`` for equispaced nodes on a vertical line, where the
-  Dirichlet powers n^{-s} advance by one complex multiplication per node.
-  The quadrature engine spends nearly all its time here.
+  Dirichlet powers n^{-s} advance by one fixed-point complex multiplication
+  (four integer multiplies) per node. The quadrature engine spends nearly
+  all its time here. The scalar zeta is the same kernel on one node.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp, log_int_fixed, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
 from .hp import PrecisionContext
 
@@ -42,7 +46,6 @@ class DomainError(ValueError):
 # Bernoulli numbers, exact rationals
 
 _BERN: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... grows on demand
-_BERN_MPF: dict[tuple[int, int], mpf] = {}     # (index, prec) -> rounded value
 
 
 def _extend_bernoulli(n: int) -> None:
@@ -83,84 +86,29 @@ def bernoulli_frac(n: int) -> Fraction:
     return _BERN[n]
 
 
-def _bern_mpf(n: int, prec: int) -> mpf:
-    key = (n, prec)
-    v = _BERN_MPF.get(key)
-    if v is None:
-        b = bernoulli_frac(n)
-        with mp.workprec(prec):
-            v = mpf(b.numerator) / b.denominator
-        _BERN_MPF[key] = v
-    return v
-
-
 # ---------------------------------------------------------------------------
-# Gamma: argument-shifted Stirling for Re(s) >= 1/2, reflection below
+# Gamma: mpmath's gamma behind the pole check and a memo
 
 _GAMMA_MEMO: dict = {}
 
 
-def _stirling_threshold(prec: int) -> int:
-    # minimal |s| where the asymptotic series bottoms out below 2^-prec
-    return int(0.12 * prec) + 6
-
-
-_STIRLING_COEF: dict[tuple[int, int], mpf] = {}
-
-
-def _stirling_coef(j: int, prec: int) -> mpf:
-    key = (j, prec)
-    v = _STIRLING_COEF.get(key)
-    if v is None:
-        v = _bern_mpf(2 * j, prec) / ((2 * j) * (2 * j - 1))
-        _STIRLING_COEF[key] = v
-    return v
-
-
-def _log_gamma_asymptotic(z: mpc, prec: int) -> mpc:
-    # ln Gamma(z) = (z-1/2) ln z - z + ln(2pi)/2 + sum B_2j / (2j(2j-1) z^{2j-1})
-    acc = (z - mpf(1) / 2) * mp.log(z) - z + mp.log(2 * mp.pi) / 2
-    w = 1 / (z * z)
-    zpow = 1 / z
-    tol = mpf(2) ** (-prec - 5)
-    j = 1
-    while True:
-        term = _stirling_coef(j, prec) * zpow
-        acc += term
-        if abs(term) < tol:
-            break
-        if j > prec:   # series must terminate long before this
-            raise ArithmeticError("Stirling series failed to converge")
-        zpow *= w
-        j += 1
-    return acc
-
-
-def _gamma_raw(s: mpc, prec: int) -> mpc:
+def _gamma_raw(s: mpc) -> mpc:
     if s.imag == 0:
         sr = s.real
         if sr == int(sr) and sr <= 0:
             raise PoleError(f"gamma pole at s={int(sr)}")
         if sr == int(sr) and sr > 0 and sr < 30:
             return mpc(mp.factorial(int(sr) - 1))
-    if s.real < mpf(1) / 2:
-        # reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        sp = mp.sinpi(s)
-        if sp == 0:
-            raise PoleError(f"gamma pole at s={s}")
-        return mp.pi / (sp * _gamma_raw(1 - s, prec))
-    sigma0 = _stirling_threshold(prec)
-    shift = 0
-    if abs(s) < sigma0:
-        shift = int(mp.ceil(sigma0 - s.real)) + 1
-    z = s + shift
-    val = mp.exp(_log_gamma_asymptotic(z, prec))
-    if shift:
-        prod = s
-        for r in range(1, shift):
-            prod *= s + r
-        val /= prod
-    return val
+    return mp.gamma(s)
+
+
+def _gamma_memoized(s: mpc, prec: int) -> mpc:
+    key = (s.real._mpf_, s.imag._mpf_, prec)
+    v = _GAMMA_MEMO.get(key)
+    if v is None:
+        v = _gamma_raw(s)
+        _GAMMA_MEMO[key] = v
+    return v
 
 
 def gamma(s, ctx: PrecisionContext):
@@ -175,16 +123,6 @@ def gamma(s, ctx: PrecisionContext):
 # zeta: Euler-Maclaurin for Re(s) >= 1/2, functional equation below
 
 _ZETA_MEMO: dict = {}
-_LN_CACHE: dict[tuple[int, int], mpf] = {}     # (n, prec) -> ln n
-
-
-def _ln(n: int, prec: int) -> mpf:
-    key = (n, prec)
-    v = _LN_CACHE.get(key)
-    if v is None:
-        v = mp.log(n)
-        _LN_CACHE[key] = v
-    return v
 
 
 def _em_sizes(abs_s: float, prec: int) -> tuple[int, int]:
@@ -205,89 +143,14 @@ def _em_sizes(abs_s: float, prec: int) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _powers_neg_s(ns: range, s: mpc, prec: int) -> list[mpc]:
-    """n^{-s} for n in ns (must start at 2), exps on primes only."""
-    top = ns.stop
-    vals: list = [None] * top
-    vals[1] = mpc(1)
-    for n in range(2, top):
-        if vals[n] is None:
-            # n prime: direct exponential
-            vals[n] = mp.exp(-s * _ln(n, prec))
-        np_ = n + n
-        f = 2
-        while np_ < top:
-            if vals[np_] is None and vals[f] is not None:
-                vals[np_] = vals[n] * vals[f]
-            np_ += n
-            f += 1
-    return vals
+def _chi(s: mpc, prec: int) -> mpc:
+    # functional equation factor: zeta(s) = chi(s) zeta(1-s)
+    return 2 ** s * mp.pi ** (s - 1) * mp.sinpi(s / 2) * _gamma_memoized(1 - s, prec)
 
 
 def _zeta_em(s: mpc, prec: int) -> mpc:
     """Euler-Maclaurin zeta; requires Re(s) >= 1/2, s != 1."""
-    N, J = _em_sizes(abs(s), prec)
-    if N < 2:
-        N = 2
-    acc = mpc(1)
-    pw = _powers_neg_s(range(2, N), s, prec)
-    for n in range(2, N):
-        acc += pw[n]
-    Npow = mp.exp(-s * _ln(N, prec))        # N^{-s}
-    acc += Npow * N / (s - 1) + Npow / 2
-    # correction sum: B_2j/(2j)! * s(s+1)...(s+2j-2) * N^{-s-2j+1}
-    Nm2 = mp.exp(-2 * _ln(N, prec))
-    poch = s
-    tail_pow = Npow * N * Nm2               # N^{-s-1}
-    tol = mpf(2) ** (-prec - 8)
-    scale = abs(acc)
-    for j in range(1, J + 1):
-        term = _em_coef(j, prec) * poch * tail_pow
-        acc += term
-        if abs(term) < tol * scale:
-            break
-        poch *= (s + (2 * j - 1)) * (s + 2 * j)
-        tail_pow *= Nm2
-    return acc
-
-
-_FACT_CACHE: dict[tuple[int, int], mpf] = {}
-
-
-def _fact(n: int, prec: int) -> mpf:
-    key = (n, prec)
-    v = _FACT_CACHE.get(key)
-    if v is None:
-        v = mp.factorial(n)
-        _FACT_CACHE[key] = v
-    return v
-
-
-_EM_COEF: dict[tuple[int, int], mpf] = {}
-
-
-def _em_coef(j: int, prec: int) -> mpf:
-    # B_2j / (2j)!
-    key = (j, prec)
-    v = _EM_COEF.get(key)
-    if v is None:
-        v = _bern_mpf(2 * j, prec) / _fact(2 * j, prec)
-        _EM_COEF[key] = v
-    return v
-
-
-def _gamma_memoized(s: mpc, prec: int) -> mpc:
-    key = (s.real._mpf_, s.imag._mpf_, prec)
-    v = _GAMMA_MEMO.get(key)
-    if v is None:
-        v = _gamma_raw(s, prec)
-        _GAMMA_MEMO[key] = v
-    return v
-
-
-def _chi(s: mpc, prec: int) -> mpc:
-    # functional equation factor: zeta(s) = chi(s) zeta(1-s)
-    return 2 ** s * mp.pi ** (s - 1) * mp.sinpi(s / 2) * _gamma_memoized(1 - s, prec)
+    return _zeta_em_run(s.real, s.imag, None, 1, prec)[0]
 
 
 def _zeta_raw(s: mpc, prec: int) -> mpc:
@@ -373,45 +236,120 @@ def _zeta_run_chunk(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list
     return out
 
 
-def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
-    tmax = max(abs(t0), abs(t0 + (count - 1) * dt))
+# The run kernel works in fixed point: a real x is the Python int
+# floor(x * 2^W), W = prec + _GUARD, as in mpmath's own zeta sums
+# (libmp.gammazeta.mpc_zetasum). A product costs one int multiply and a shift,
+# with none of the normalizing and rounding of an mpf/mpc operation. Truncation
+# errors add up to at most ~2^17 units of 2^-W over a 96-node chunk of a
+# few hundred terms, which the guard keeps below the 2^-(prec+8) EM target.
+_GUARD = 24
+_EM_RATIO: dict[tuple[int, int], int] = {}     # (j, W) -> C_{j+1}/C_j, fixed
+
+
+def _em_ratio(j: int, W: int) -> int:
+    # C_j = B_2j/(2j)!, so C_{j+1}/C_j = B_{2j+2} / (B_2j (2j+1)(2j+2))
+    key = (j, W)
+    v = _EM_RATIO.get(key)
+    if v is None:
+        r = bernoulli_frac(2 * j + 2) / (bernoulli_frac(2 * j) * (2 * j + 1) * (2 * j + 2))
+        v = (r.numerator << W) // r.denominator
+        _EM_RATIO[key] = v
+    return v
+
+
+def _powers_fixed(N: int, x: int, y: int, W: int) -> tuple[list[int], list[int]]:
+    """n^{-(x+iy)} for n <= N as fixed-point (re, im) lists indexed by n;
+    exponentials on primes only, composites as products."""
+    one = 1 << W
+    re = [one] * (N + 1)
+    im = [0] * (N + 1)
+    spf = list(range(N + 1))                   # smallest prime factor
+    for p in range(2, math.isqrt(N) + 1):
+        if spf[p] == p:
+            for q in range(p * p, N + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    for n in range(2, N + 1):
+        p = spf[n]
+        if p == n:
+            lg = log_int_fixed(n, W)
+            mag = exp_fixed(-x * lg >> W, W) if x else one
+            c, s = cos_sin_fixed(-y * lg >> W, W)
+            re[n] = mag * c >> W
+            im[n] = mag * s >> W
+        else:
+            a, b, c, d = re[p], im[p], re[n // p], im[n // p]
+            re[n] = (a * c - b * d) >> W
+            im[n] = (a * d + b * c) >> W
+    return re, im
+
+
+def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf | None, count: int, prec: int) -> list:
+    """Euler-Maclaurin zeta at sigma + i(t0 + u*dt), u < count; requires
+    sigma >= 1/2. A 1-node call (dt unused) is the scalar evaluator."""
+    tmax = abs(t0) if count == 1 else max(abs(t0), abs(t0 + (count - 1) * dt))
     abs_s = math.hypot(float(sigma), float(tmax))
     N, J = _em_sizes(abs_s, prec)
     if N < 2:
         N = 2
-    s0 = mpc(sigma, t0)
-    # base powers n^{-s_0} and step rotations n^{-i dt}
-    base = _powers_neg_s(range(2, N + 1), s0, prec)
-    step = _powers_neg_s(range(2, N + 1), mpc(0, dt), prec)
-    acc = [mpc(1) for _ in range(count)]
-    for n in range(2, N):
-        b = base[n]
-        st = step[n]
-        for u in range(count):
-            acc[u] += b
-            b = b * st
-    # tail + Euler-Maclaurin corrections per node
-    bN = base[N]
-    stN = step[N]
-    Nm2 = mp.exp(-2 * _ln(N, prec))
-    tol = mpf(2) ** (-prec - 8)
-    idt = mpc(0, dt)
+    W = prec + _GUARD
+    one = 1 << W
+    sre = to_fixed(sigma._mpf_, W)
+    sim = to_fixed(t0._mpf_, W)
+    # Dirichlet sum 1 + sum_{2 <= n < N} n^{-s_u}
+    bre, bim = _powers_fixed(N, sre, sim, W)
+    if count == 1:
+        are = [one + sum(bre[2:N])]
+        aim = [sum(bim[2:N])]
+    else:
+        dim = to_fixed(dt._mpf_, W)
+        cre, cim = _powers_fixed(N, 0, dim, W)   # step rotations n^{-i dt}
+        are = [one] * count
+        aim = [0] * count
+        for n in range(2, N):
+            xr, xi, yr, yi = bre[n], bim[n], cre[n], cim[n]
+            for u in range(count):
+                are[u] += xr
+                aim[u] += xi
+                xr, xi = (xr * yr - xi * yi) >> W, (xr * yi + xi * yr) >> W
+    # per node: N^{-s} (N/(s-1) + 1/2 + sum_j T_j) with
+    # T_j = C_j (s)_{2j-1} N^{1-2j} by T_{j+1} = T_j (C_{j+1}/C_j) (s+2j-1)(s+2j) / N^2
+    nre, nim = bre[N], bim[N]
+    # |N^{-s}|^2 is the same on the whole line; the floor keeps an underflowed
+    # N^{-s} (huge sigma) from dividing by zero, where the tail is 0 anyway
+    nmag = max(nre * nre + nim * nim, 1)
+    ratios = [_em_ratio(j, W) for j in range(1, J)]
+    D = (N * N) << (2 * W)
+    a = sre - one
     out = []
     for u in range(count):
-        s = s0 + u * idt
-        a = acc[u] + bN * N / (s - 1) + bN / 2
-        poch = s
-        tail_pow = bN * N * Nm2
-        scale = abs(a)
+        den = a * a + sim * sim
+        ere = ((N * a) << (2 * W)) // den + (one >> 1)
+        eim = ((-N * sim) << (2 * W)) // den
+        vre = are[u] + ((nre * ere - nim * eim) >> W)
+        vim = aim[u] + ((nre * eim + nim * ere) >> W)
+        # stop once |N^{-s} T_j| < 2^-(prec+8) |value|
+        lim = ((vre * vre + vim * vim) << (2 * (_GUARD - 8))) // nmag
+        p2 = (sre * sre - sim * sim) >> W
+        ps = (2 * sre * sim) >> W
+        tre, tim = sre // (12 * N), sim // (12 * N)      # T_1 = s/(12N)
+        sumre, sumim = 0, 0
         for j in range(1, J + 1):
-            term = _em_coef(j, prec) * poch * tail_pow
-            a += term
-            if abs(term) < tol * scale:
+            sumre += tre
+            sumim += tim
+            if tre * tre + tim * tim < lim or j == J:
                 break
-            poch *= (s + (2 * j - 1)) * (s + 2 * j)
-            tail_pow *= Nm2
-        out.append(a)
-        bN = bN * stN
+            qre = p2 + (4 * j - 1) * sre + (2 * j - 1) * 2 * j * one
+            qim = ps + (4 * j - 1) * sim
+            r = ratios[j - 1]
+            tre, tim = (tre * qre - tim * qim) * r // D, (tre * qim + tim * qre) * r // D
+        vre += (nre * sumre - nim * sumim) >> W
+        vim += (nre * sumim + nim * sumre) >> W
+        out.append(mp.make_mpc((from_man_exp(vre, -W, prec, "n"),
+                                from_man_exp(vim, -W, prec, "n"))))
+        if u + 1 < count:
+            nre, nim = (nre * cre[N] - nim * cim[N]) >> W, (nre * cim[N] + nim * cre[N]) >> W
+            sim += dim
     return out
 
 
@@ -603,4 +541,3 @@ def clear_caches() -> None:
     _GAMMA_MEMO.clear()
     _ZETA_MEMO.clear()
     _ZLINE_MEMO.clear()
-    _LN_CACHE.clear()

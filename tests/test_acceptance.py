@@ -217,3 +217,15 @@ def test_criterion_10_deterministic_sweep(tmp_path):
     ok = outs[0] == outs[1]
     _line(10, ok, f"{len(outs[0])} bytes, identical={ok}")
     assert ok
+
+
+def test_criterion_1_cold_case_bound(ctx50):
+    """Criterion 1's 30 s per-case bound holds on an empty memo for the grid's
+    slowest family, (k, m, theta) = (3, -1, 1.0), not only when earlier cases
+    have warmed the zeta and Gamma memos."""
+    special.clear_caches()
+    with ctx50.scoped():
+        r = idn.verify_main(IdentityParams(k=3, m=-1, theta=mpf("1.0")), ctx50)
+    _line("1-cold", r.elapsed < 30, f"(3, -1, 1.0) on a cleared memo took {r.elapsed:.1f}s")
+    assert r.rel_residual < mpf(10) ** -30
+    assert r.elapsed < 30, f"cold case took {r.elapsed:.1f}s"

@@ -185,3 +185,17 @@ def test_sweep_grid_cardinality():
                         m_list=[1, -1, 2, -2], theta_list=["0", "0.3", "1.0"],
                         digits=30)
     assert len(cli._sweep_grid(cfg)) == 36
+
+
+def test_sweep_grid_all_narrows_eisenstein(capsys):
+    # the README grid: 'all' drops eisenstein when no m > 1 remains
+    cfg = cli.RunConfig(identity=["all"], k_list=[1, 2], m_list=[1, -1],
+                        theta_list=["0", "0.5"], digits=30)
+    tasks = cli._sweep_grid(cfg)
+    assert len(tasks) == 28
+    assert {t[0] for t in tasks} == set(identities.IDENTITY_NAMES) - {"eisenstein"}
+    cfg.m_list = [1, 3]
+    assert [t[2] for t in cli._sweep_grid(cfg) if t[0] == "eisenstein"] == [3] * 4
+    # named explicitly, eisenstein still rejects m <= 1
+    assert run(["sweep", "--identity", "eisenstein", "--m", "1", "--digits", "30"]) == 2
+    assert "eisenstein requires m > 1" in capsys.readouterr().err

@@ -146,17 +146,30 @@ def test_zeta_functional_equation_property(re, im):
         assert abs(lhs - rhs) <= max(abs(rhs), mpf(1)) * ctx.tolerance(5)
 
 
-def test_zeta_vertical_run_matches_scalar(ctx50):
-    with ctx50.scoped():
-        run = special.zeta_vertical_run(mpf(5) / 2, mpf(1) / 8, mpf(1) / 8, 40, ctx50)
-        for u in (0, 7, 39):
-            s = mpc(mpf(5) / 2, mpf(1) / 8 + u * mpf(1) / 8)
-            assert abs(run[u] - mp.zeta(s)) < ctx50.tolerance(3)
-        # reflected branch
-        run = special.zeta_vertical_run(mpf(-3) / 2, mpf(2), mpf(1) / 4, 8, ctx50)
-        for u in (0, 5):
-            s = mpc(mpf(-3) / 2, 2 + u * mpf(1) / 4)
-            assert abs(run[u] - mp.zeta(s)) < max(1, abs(run[u])) * ctx50.tolerance(3)
+@pytest.mark.parametrize("digits,sigma,t0,dt,count", [
+    pytest.param(50, "2.5", "0.125", "0.125", 40, id="50-line"),
+    pytest.param(30, "2.5", "0.125", "0.125", 40, id="30-line"),
+    pytest.param(80, "2.5", "-3", "0.0625", 40, id="80-line"),
+    # |t| >= 150 over a _RUN_CHUNK boundary: two chunks with their own (N, J)
+    pytest.param(50, "0.5", "150", "0.0625", 100, id="50-chunks-t150"),
+    pytest.param(50, "-1.5", "2", "0.25", 8, id="50-reflected"),
+    pytest.param(80, "-3.5", "-20", "0.125", 12, id="80-reflected"),
+    pytest.param(50, "2.5", "0.875", "0.125", 1, id="50-one-node"),
+    pytest.param(50, "-0.5", "7", "0.125", 1, id="50-one-node-reflected"),
+])
+def test_zeta_vertical_run_matches_scalar(digits, sigma, t0, dt, count):
+    ctx = hp.with_precision(digits)
+    with ctx.scoped():
+        sigma, t0, dt = mpf(sigma), mpf(t0), mpf(dt)
+        run = special.zeta_vertical_run(sigma, t0, dt, count, ctx)
+        assert len(run) == count
+        edge = special._RUN_CHUNK
+        for u in sorted({0, count // 2, count - 1} | ({edge - 1, edge} if count > edge else set())):
+            s = mpc(sigma, t0 + u * dt)
+            assert abs(run[u] - mp.zeta(s)) < max(1, abs(run[u])) * ctx.tolerance(3)
+        if count == 1:
+            # the scalar zeta is the same kernel on one node
+            assert run[0] == special.zeta(mpc(sigma, t0), ctx)
 
 
 # ---------------------------------------------------------------------------
