@@ -169,10 +169,13 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple]:
             k_list = [2 if identity == "dixit" else 1]
         if identity in ("quasimodular", "eta"):
             m_list = [None]
-        if identity == "eisenstein" and expand_all:
-            # 'all' narrows eisenstein to the m it accepts, as the other
-            # identities collapse the grid axes they lack
-            m_list = [m for m in m_list if m > 1]
+        if expand_all:
+            # 'all' narrows eisenstein and lerch to the m they accept, as the
+            # other identities collapse the grid axes they lack
+            if identity == "eisenstein":
+                m_list = [m for m in m_list if m > 1]
+            elif identity == "lerch":
+                m_list = [m for m in m_list if m % 2]
         if identity == "lerch":
             theta_list = [None]
         for k in k_list:
@@ -189,33 +192,45 @@ def cmd_sweep(args) -> int:
     tasks = _sweep_grid(cfg)
     jobs = cfg.jobs or os.cpu_count() or 1
     reports = []
-    failed = False
-    numeric_failure = None
+    failures = []
+
+    # a cell that does not converge is recorded and the grid goes on; it
+    # simply has no row in the output
+    def collect(task, result):
+        try:
+            reports.append(result())
+        except ArithmeticError as exc:
+            failures.append((task, exc))
+
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_sweep_cell, t) for t in tasks]
-            for fut in futures:
-                try:
-                    reports.append(fut.result())
-                except ArithmeticError as exc:
-                    numeric_failure = exc
-                    break
+            for t, fut in zip(tasks, futures):
+                collect(t, fut.result)
     else:
         for t in tasks:
-            try:
-                reports.append(_sweep_cell(t))
-            except ArithmeticError as exc:
-                numeric_failure = exc
-                break
+            collect(t, lambda: _sweep_cell(t))
     for r in reports:
         print(r)
-        failed = failed or not r.passed
     if cfg.out:
         _write_rows(cfg.out, cfg.format, reports, timing=cfg.timing)
-    if numeric_failure is not None:
-        print(f"numerical non-convergence: {numeric_failure}", file=sys.stderr)
+    for (identity, k, m, theta, _digits), exc in failures:
+        cell = f"{identity} k={k}"
+        if m is not None:
+            cell += f" m={m}"
+        if theta is not None:
+            cell += f" theta={theta}"
+        _print_numeric_failure(exc, f" in {cell}")
+    if failures:
         return EXIT_NUMERIC
-    return EXIT_FAIL if failed else EXIT_PASS
+    return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
+
+
+def _print_numeric_failure(exc, where=""):
+    print(f"numerical non-convergence{where}: {exc}", file=sys.stderr)
+    trace = getattr(exc, "trace", None)
+    if trace:
+        print(json.dumps(trace[-3:], indent=2), file=sys.stderr)
 
 
 def _write_rows(path, fmt, reports, timing=False):
@@ -389,13 +404,8 @@ def main(argv=None) -> int:
     except (special.DomainError, PrecisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except mellin.QuadratureError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
-        if exc.trace:
-            print(json.dumps(exc.trace[-3:], indent=2), file=sys.stderr)
-        return EXIT_NUMERIC
     except ArithmeticError as exc:
-        print(f"numerical non-convergence: {exc}", file=sys.stderr)
+        _print_numeric_failure(exc)
         return EXIT_NUMERIC
 
 

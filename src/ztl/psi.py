@@ -226,7 +226,7 @@ def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
     settings = mellin.line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
     tr: list = []
     v = mellin.line_integral(f, settings, ctx, conj_symmetric=True, trace=tr)
-    est = mpf(tr[-1]["discrepancy"]) if tr and tr[-1]["discrepancy"] else ctx.tolerance()
+    est = mpf(tr[-1]["estimate"]) if tr and tr[-1]["estimate"] else ctx.tolerance()
     return PsiValue(value=v, error_estimate=est, strategy="inverse_mellin")
 
 

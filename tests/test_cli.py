@@ -132,7 +132,7 @@ def test_verify_trace_output(capsys):
     assert run(["verify", "quasimodular", "--k", "1", "--theta", "0",
                 "--digits", "30", "--trace"]) == 0
     out = capsys.readouterr().out
-    assert '"kind": "line"' in out and '"discrepancy"' in out
+    assert '"kind": "line"' in out and '"discrepancy"' in out and '"estimate"' in out
 
 
 def test_selftest_filtered(capsys):
@@ -199,3 +199,40 @@ def test_sweep_grid_all_narrows_eisenstein(capsys):
     # named explicitly, eisenstein still rejects m <= 1
     assert run(["sweep", "--identity", "eisenstein", "--m", "1", "--digits", "30"]) == 2
     assert "eisenstein requires m > 1" in capsys.readouterr().err
+
+
+def test_sweep_grid_all_narrows_lerch(capsys):
+    # 'all' gives lerch only its odd m and drops it when none remain
+    cfg = cli.RunConfig(identity=["all"], k_list=[1], m_list=[2],
+                        theta_list=["0"], digits=30)
+    tasks = cli._sweep_grid(cfg)
+    assert "lerch" not in {t[0] for t in tasks}
+    assert {t[0] for t in tasks} == set(identities.IDENTITY_NAMES) - {"lerch"}
+    cfg.m_list = [2, 3, -1]
+    assert [t[2] for t in cli._sweep_grid(cfg) if t[0] == "lerch"] == [3, -1]
+    # named explicitly, lerch still rejects even m
+    assert run(["sweep", "--identity", "lerch", "--m", "2", "--digits", "30"]) == 2
+    assert "lerch requires odd m" in capsys.readouterr().err
+
+
+def test_sweep_keeps_going_after_numerical_failure(tmp_path, monkeypatch, capsys):
+    real_verify = identities.verify
+
+    def verify(identity, *, k, m, theta, ctx):
+        if m == 1:
+            raise mellin.QuadratureError("forced failure", trace=[{"h": 0.5, "marker": 7}])
+        return real_verify(identity, k=k, m=m, theta=theta, ctx=ctx)
+
+    monkeypatch.setattr(identities, "verify", verify)
+    out = tmp_path / "r.csv"
+    # the first cell fails; the second must still run and be written
+    code = run(["sweep", "--identity", "ramanujan", "--m", "1,-1", "--theta", "0",
+                "--digits", "30", "--jobs", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    lines = out.read_text().splitlines()
+    assert lines[0] == identities.CSV_HEADER
+    assert len(lines) == 2 and lines[1].startswith("ramanujan,1,-1,")
+    assert "PASS ramanujan" in captured.out
+    assert "non-convergence in ramanujan k=1 m=1 theta=0: forced failure" in captured.err
+    assert '"marker": 7' in captured.err

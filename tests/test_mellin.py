@@ -27,6 +27,20 @@ def test_mellin_inversion_of_exp(ctx50):
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
 
 
+def test_embedded_estimate_accepts_second_level(ctx50):
+    # at h0 = 1/8 the first discrepancy is ~1e-44, so its square already
+    # clears 1e-50: the h = 1/16 level is accepted without a confirming level
+    with ctx50.scoped():
+        st = mellin.line_settings(ctx50, 2)
+        for x in (1, 5):
+            f = lambda s: special.gamma(s, ctx50) * mpf(x) ** (-s)
+            tr = []
+            v = mellin.line_integral(f, st, ctx50, conj_symmetric=True, trace=tr)
+            assert len(tr) == 2
+            assert tr[0]["estimate"] is None and tr[1]["estimate"] is not None
+            assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
+
+
 def test_conjugate_symmetric_integrand_has_tiny_imag(ctx50):
     with ctx50.scoped():
         st = mellin.line_settings(ctx50, 2, poly_power=1.5)

@@ -3,8 +3,8 @@
 import pytest
 from mpmath import mp, mpf
 
-from ztl import special
-from ztl.psi import PsiRequest, SeriesRequest, psi, series_L
+from ztl import mellin, special
+from ztl.psi import PsiRequest, SeriesRequest, VerticalProduct, psi, series_L
 
 
 def test_request_validation():
@@ -157,3 +157,20 @@ def test_series_nmax_exhaustion(ctx30):
     with pytest.raises(ArithmeticError):
         series_L(SeriesRequest(rho=mpf(1) / 100, k=1, m=-3, N_max=4), ctx30,
                  strategy="terms")
+
+
+@pytest.mark.parametrize("k,m,rho", [(2, 1, 40), (3, -1, 250)])
+def test_fold_agrees_at_shifted_abscissa(ctx50, k, m, rho):
+    # no pole lies between Re s = c and Re s = c + 1, so the fold integral is
+    # the same on both lines while every node differs: an independent route
+    # for the stopping rule's accepted value
+    with ctx50.scoped():
+        c = mpf(max(1, -2 * m)) + mpf(3) / 2
+        vals = []
+        for line in (c, c + 1):
+            f = VerticalProduct(ctx50, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
+                                gamma_power=k, cos_power=k - 1, neg_s_base=mpf(rho))
+            st = mellin.line_settings(ctx50, line, poly_power=float(k) * (float(line) - 0.5))
+            vals.append(mellin.line_integral(f, st, ctx50, conj_symmetric=True))
+        assert vals[0] == series_L(SeriesRequest(rho=mpf(rho), k=k, m=m), ctx50).value
+        assert abs(vals[0] - vals[1]) <= mpf("1e-45") * abs(vals[0])
