@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 
 from .hp import PrecisionError, with_precision
 from . import identities, mellin, selftest, special
-from .psi import PsiRequest, psi
+from .psi import PSI_STRATEGIES, PsiRequest, psi
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -117,29 +117,25 @@ def _theta_from_args(args) -> str:
     return args.theta if args.theta is not None else "0"
 
 
+def _print_trace(sink: list | None) -> None:
+    if sink is not None:
+        print(json.dumps(sink, indent=2))
+
+
 # ---------------------------------------------------------------------------
 # verify
 
 def cmd_verify(args) -> int:
     digits = args.digits or _default_digits()
     identity = args.identity
-    m = args.m
-    _check_identity_params(identity, args.k, m if m is not None else (2 if identity == "eisenstein" else 1))
+    m = args.m if args.m is not None else (2 if identity == "eisenstein" else 1)
+    _check_identity_params(identity, args.k, m)
     theta = _theta_from_args(args)
     ctx = with_precision(digits)
-    sink: list | None = None
-    if args.trace:
-        sink = []
-        mellin.set_trace_sink(sink)
-    try:
-        report = identities.verify(identity, k=args.k,
-                                   m=m if m is not None else (2 if identity == "eisenstein" else 1),
-                                   theta=theta, ctx=ctx)
-    finally:
-        mellin.set_trace_sink(None)
+    with mellin.trace_sink(args.trace) as sink:
+        report = identities.verify(identity, k=args.k, m=m, theta=theta, ctx=ctx)
     print(report)
-    if args.trace and sink is not None:
-        print(json.dumps(sink, indent=2))
+    _print_trace(sink)
     if args.out:
         _write_rows(args.out, args.format, [report], timing=args.timing)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -148,12 +144,16 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_cell(task):
+def _sweep_cell(task, trace: bool):
+    """Verify one grid cell; returns (report, the cell's quadrature traces,
+    or None when tracing is off). Runs in a pool worker, or in-process at
+    --jobs 1."""
     identity, k, m, theta, digits = task
     ctx = with_precision(digits)
-    report = identities.verify(identity, k=k, m=m if m is not None else 1,
-                               theta=theta or "0", ctx=ctx)
-    return report
+    with mellin.trace_sink(trace) as sink:
+        report = identities.verify(identity, k=k, m=m if m is not None else 1,
+                                   theta=theta or "0", ctx=ctx)
+    return report, sink
 
 
 def _sweep_grid(cfg: RunConfig) -> list[tuple]:
@@ -193,25 +193,31 @@ def cmd_sweep(args) -> int:
     jobs = cfg.jobs or os.cpu_count() or 1
     reports = []
     failures = []
+    traces = [] if cfg.trace else None
 
     # a cell that does not converge is recorded and the grid goes on; it
     # simply has no row in the output
     def collect(task, result):
         try:
-            reports.append(result())
+            report, cell_trace = result()
         except ArithmeticError as exc:
             failures.append((task, exc))
+            return
+        reports.append(report)
+        if traces is not None:
+            traces.extend(cell_trace)
 
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_cell, t) for t in tasks]
+            futures = [pool.submit(_sweep_cell, t, cfg.trace) for t in tasks]
             for t, fut in zip(tasks, futures):
                 collect(t, fut.result)
     else:
         for t in tasks:
-            collect(t, lambda: _sweep_cell(t))
+            collect(t, lambda: _sweep_cell(t, cfg.trace))
     for r in reports:
         print(r)
+    _print_trace(traces)
     if cfg.out:
         _write_rows(cfg.out, cfg.format, reports, timing=cfg.timing)
     for (identity, k, m, theta, _digits), exc in failures:
@@ -287,12 +293,8 @@ def cmd_psi(args) -> int:
     xs = _str_list(args.x)
     if not xs:
         raise UsageError("--x must give at least one positive value")
-    sink: list | None = None
-    if args.trace:
-        sink = []
-        mellin.set_trace_sink(sink)
     rows = []
-    try:
+    with mellin.trace_sink(args.trace) as sink:
         for xs_raw in xs:
             with ctx.scoped():
                 x = mpf(xs_raw)
@@ -309,10 +311,7 @@ def cmd_psi(args) -> int:
                       f"{mp.nstr(val.value, digits)}  "
                       f"(error ~ {mp.nstr(val.error_estimate, 3)}, strategy {val.strategy})")
                 rows.append((mp.nstr(x, 17), mp.nstr(val.value, digits)))
-    finally:
-        mellin.set_trace_sink(None)
-    if args.trace and sink is not None:
-        print(json.dumps(sink, indent=2))
+    _print_trace(sink)
     if args.out:
         if args.format == "json":
             body = json.dumps([{"x": x, "psi": v} for x, v in rows], indent=2) + "\n"
@@ -377,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--rho", required=True)
     pp.add_argument("--k", type=int, default=1)
     pp.add_argument("--x", required=True, help="evaluation point, or comma list for plot data")
-    pp.add_argument("--strategy", default="auto",
-                    choices=("auto", "inverse_mellin", "term_sum", "closed_form"))
+    pp.add_argument("--strategy", default="auto", choices=PSI_STRATEGIES)
     _add_common(pp)
     pp.set_defaults(fn=cmd_psi)
 

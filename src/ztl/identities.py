@@ -17,10 +17,11 @@ from mpmath import mp, mpf
 
 from .hp import PrecisionContext
 from . import special, mellin
-from .psi import PsiRequest, SeriesRequest, VerticalProduct, psi, series_L, divisor_counts
+from .mellin import VerticalProduct
+from .psi import PsiRequest, SeriesRequest, psi, series_L, divisor_counts
 
 __all__ = [
-    "IdentityParams", "VerificationReport", "IDENTITY_NAMES",
+    "IdentityParams", "VerificationReport", "IDENTITY_NAMES", "alpha_beta",
     "pass_tolerance", "derivative_term", "bernoulli_block",
     "verify_main", "verify_ramanujan_classical", "verify_dixit",
     "verify_eisenstein", "verify_quasimodular", "verify_eta",
@@ -50,9 +51,14 @@ class IdentityParams:
             return cls(k=k, m=m, theta=mp.log(mpf(alpha) / mp.pi))
 
     def alpha_beta(self, ctx):
-        with ctx.scoped():
-            e = mp.exp(mpf(self.theta))
-            return mp.pi * e, mp.pi / e
+        return alpha_beta(self.theta, ctx)
+
+
+def alpha_beta(theta, ctx: PrecisionContext):
+    """(alpha, beta) = (pi e^theta, pi e^-theta)."""
+    with ctx.scoped():
+        e = mp.exp(mpf(theta))
+        return mp.pi * e, mp.pi / e
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,7 @@ def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> Verifica
         raise special.DomainError("m must be nonzero")
     t0 = time.perf_counter()
     with ctx.scoped():
-        alpha = mp.pi * mp.exp(mpf(theta))
-        beta = mp.pi / mp.exp(mpf(theta))
+        alpha, beta = alpha_beta(theta, ctx)
         z = special.zeta(2 * m + 1, ctx)
         lhs = alpha ** (-m) * (z / 2 + special.lambert_series(-2 * m - 1, 2 * alpha, ctx))
         rhs = (_neg_pow(beta, m) * (z / 2 + special.lambert_series(-2 * m - 1, 2 * beta, ctx))
@@ -241,8 +246,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
         raise special.DomainError("m must be nonzero")
     t0 = time.perf_counter()
     with ctx.scoped():
-        alpha = mp.pi * mp.exp(mpf(theta))
-        beta = mp.pi / mp.exp(mpf(theta))
+        alpha, beta = alpha_beta(theta, ctx)
         z = special.zeta(2 * m + 1, ctx)
         cs = mellin.circle_settings(ctx, 1, center=2 * m + 1)
         zp_over_z = mellin.cauchy_derivative(
@@ -250,31 +254,17 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
 
         def bracket(r):
             # Omega_r(n) = 2 Psi_{(2r)^2, 2}(n), summed with weight n^-(2m+1)
-            acc = mpf(0)
-            consec = 0
-            n = 1
-            thresh = ctx.tolerance(-5)
-            while True:
+            def term(n):
                 om = 2 * psi(PsiRequest(rho=(2 * r) ** 2, k=2, x=mpf(n)), ctx).value
-                term = divisor_counts(2, n).d(n) * om * mp.power(n, -(2 * m + 1))
-                acc += term
-                if abs(term) < thresh * max(1, abs(acc)):
-                    consec += 1
-                    if consec >= 5:
-                        break
-                else:
-                    consec = 0
-                n += 1
-                if n > 10 ** 5:
-                    raise ArithmeticError("Koshliakov series stalled")
+                return divisor_counts(2, n).d(n) * om * mp.power(n, -(2 * m + 1))
+
+            acc, _, _ = special.sum_until_negligible(term, ctx, 5, 10 ** 5,
+                                                     "Koshliakov series")
             return z ** 2 * (mp.euler + mp.log(r / mp.pi) - zp_over_z) + acc
 
         lhs = alpha ** (-2 * m) * bracket(alpha)
         blk = mpf(0)
-        for j in range(0, m + 2):
-            q = ((-1) ** j * special.bernoulli_frac(2 * j) ** 2
-                 * special.bernoulli_frac(2 * m + 2 - 2 * j) ** 2
-                 / (Fraction(math.factorial(2 * j)) ** 2 * Fraction(math.factorial(2 * m + 2 - 2 * j)) ** 2))
+        for j, q in enumerate(bernoulli_block_coeffs(2, m)):
             blk += mpf(q.numerator) / q.denominator * alpha ** (2 * j) * beta ** (2 * m + 2 - 2 * j)
         sgn = -1 if m % 2 else 1
         rhs = sgn * beta ** (-2 * m) * bracket(beta) - mpf(2) ** (4 * m) * mp.pi * blk
@@ -288,8 +278,7 @@ def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> Verificat
         raise special.DomainError("eisenstein requires m > 1")
     t0 = time.perf_counter()
     with ctx.scoped():
-        alpha = mp.pi * mp.exp(mpf(theta))
-        beta = mp.pi / mp.exp(mpf(theta))
+        alpha, beta = alpha_beta(theta, ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         sa = (alpha ** k) ** m
         sb = _neg_pow(beta ** k, -m)
@@ -305,8 +294,7 @@ def verify_quasimodular(k: int, theta, ctx: PrecisionContext) -> VerificationRep
     Bernoulli block collapses to the constant -(pi/2)^{k-1} 2^{-2k}."""
     t0 = time.perf_counter()
     with ctx.scoped():
-        alpha = mp.pi * mp.exp(mpf(theta))
-        beta = mp.pi / mp.exp(mpf(theta))
+        alpha, beta = alpha_beta(theta, ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         lhs = (alpha ** k * series_L(SeriesRequest(rho=ra, k=k, m=-1), ctx).value
                + beta ** k * series_L(SeriesRequest(rho=rb, k=k, m=-1), ctx).value)
@@ -337,8 +325,7 @@ def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """Generalized Dedekind-eta transformation (weight n^-1 series)."""
     t0 = time.perf_counter()
     with ctx.scoped():
-        alpha = mp.pi * mp.exp(mpf(theta))
-        beta = mp.pi / mp.exp(mpf(theta))
+        alpha, beta = alpha_beta(theta, ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         lhs = (series_L(SeriesRequest(rho=ra, k=k, m=0), ctx).value
                - series_L(SeriesRequest(rho=rb, k=k, m=0), ctx).value)
@@ -357,11 +344,7 @@ def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationR
     with ctx.scoped():
         rho = (2 * mp.pi) ** k
         lhs = series_L(SeriesRequest(rho=rho, k=k, m=m), ctx).value
-        bsum = Fraction(0)
-        for j in range(0, m + 2):
-            bsum += ((-1) ** (j + 1) * special.bernoulli_frac(2 * m - 2 * j + 2) ** k
-                     * special.bernoulli_frac(2 * j) ** k
-                     / (Fraction(math.factorial(2 * m - 2 * j + 2)) * math.factorial(2 * j)) ** k)
+        bsum = -sum(bernoulli_block_coeffs(k, m), Fraction(0))
         rhs = (derivative_term(k, m, rho, ctx)
                + mpf(2) ** (2 * k * m - k) * mp.pi ** (2 * k * m + 2 * k - 1)
                * mpf(bsum.numerator) / bsum.denominator)

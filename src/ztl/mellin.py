@@ -1,9 +1,11 @@
-"""Vertical-line Mellin-Barnes quadrature and the Cauchy-circle derivative
-operator.
+"""Vertical-line Mellin-Barnes quadrature, the one vertical-line integrand
+``VerticalProduct`` that every line integral of the package builds, and the
+Cauchy-circle derivative operator.
 
-Both use the plain trapezoid rule, which is spectrally accurate for analytic
-integrands that decay exponentially (line) or are periodic (circle), and
-refines by node doubling so earlier evaluations are never wasted.
+Both quadratures use the plain trapezoid rule, which is spectrally accurate
+for analytic integrands that decay exponentially (line) or are periodic
+(circle), and refines by node doubling so earlier evaluations are never
+wasted.
 
 Stopping rule: the trapezoid error on a strip or annulus of analyticity
 behaves like C*exp(-2 pi d/h) on a line and C*rho^M on a circle, so it
@@ -19,6 +21,7 @@ Refinement stops once est <= 10^-digits * scale.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +33,8 @@ from . import special
 __all__ = [
     "QuadratureError", "QuadratureSettings", "CircleSettings",
     "line_settings", "lambda_line_settings", "circle_settings",
-    "line_integral", "cauchy_derivative", "meijer_g_psi_kernel", "psi_kernel",
+    "VerticalProduct", "line_integral", "cauchy_derivative",
+    "meijer_g_psi_kernel", "psi_kernel",
 ]
 
 _CHUNK = 96
@@ -40,9 +44,17 @@ _CHUNK = 96
 _TRACE_SINK: list | None = None
 
 
-def set_trace_sink(sink: list | None) -> None:
+@contextmanager
+def trace_sink(enabled: bool):
+    """Yield the list every quadrature of the block appends its refinement
+    trace to, or None when tracing is off. The sink is removed on exit, also
+    when the block raises, so it never leaks into the next computation."""
     global _TRACE_SINK
-    _TRACE_SINK = sink
+    _TRACE_SINK = [] if enabled else None
+    try:
+        yield _TRACE_SINK
+    finally:
+        _TRACE_SINK = None
 
 
 class QuadratureError(ArithmeticError):
@@ -146,6 +158,59 @@ class _CallableOnLine:
     def eval_vertical(self, c, t0, dt, count):
         f = self.f
         return [f(mpc(c, t0 + u * dt)) for u in range(count)]
+
+
+class VerticalProduct:
+    """prod_i zeta(a_i + eps_i s)^{k_i} * Gamma(s)^g * cos(pi s/2)^p * base^{-s}
+    evaluated on equispaced nodes of a vertical line.
+
+    Zeta factors ride the memoized vertical-run evaluator; Gamma nodes hit the
+    scalar memo; cos and base^{-s} advance by one multiplication per node.
+    """
+
+    def __init__(self, ctx, zeta_factors=(), gamma_power=0, cos_power=0,
+                 neg_s_base=1):
+        self.ctx = ctx
+        self.zeta_factors = tuple(zeta_factors)   # (shift a, eps, power)
+        self.gamma_power = gamma_power
+        self.cos_power = cos_power
+        with ctx.scoped():
+            self.ln_base = mp.log(mpf(neg_s_base))
+
+    def eval_vertical(self, c, t0, dt, count):
+        ctx = self.ctx
+        with ctx.scoped():
+            vals = [mpc(1)] * count
+            for (a, eps, power) in self.zeta_factors:
+                run = special.zeta_vertical_run(a + eps * c, eps * t0, eps * dt,
+                                                count, ctx)
+                for u in range(count):
+                    vals[u] *= run[u] ** power
+            if self.gamma_power:
+                g = self.gamma_power
+                for u in range(count):
+                    s = mpc(c, t0 + u * dt)
+                    vals[u] *= special.gamma(s, ctx) ** g
+            if self.cos_power:
+                # cos(pi s/2) = cos(pi c/2) cosh(pi t/2) - i sin(pi c/2) sinh(pi t/2)
+                p = self.cos_power
+                cc = mp.cospi(c / 2)
+                ss = mp.sinpi(c / 2)
+                e = mp.exp(mp.pi * t0 / 2)
+                estep = mp.exp(mp.pi * dt / 2)
+                half = mpf(1) / 2
+                for u in range(count):
+                    ei = 1 / e
+                    cosv = mpc(cc * (e + ei) * half, -ss * (e - ei) * half)
+                    vals[u] *= cosv ** p if p > 0 else 1 / cosv
+                    e = e * estep
+            if self.ln_base != 0:
+                zp = mp.exp(-mpc(c, t0) * self.ln_base)
+                zstep = mp.exp(-mpc(0, dt) * self.ln_base)
+                for u in range(count):
+                    vals[u] *= zp
+                    zp = zp * zstep
+            return vals
 
 
 def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
@@ -292,29 +357,6 @@ def cauchy_derivative(f, order: int, settings: CircleSettings,
 # ---------------------------------------------------------------------------
 # reduced Meijer G kernel for the generalized Koshliakov function
 
-class _KernelIntegrand:
-    """Gamma(s)^k cos^{k-1}(pi s/2) z^{-s} on a vertical line."""
-
-    def __init__(self, k, z, ctx):
-        self.k = k
-        self.ctx = ctx
-        self.lnz = mp.log(z)
-
-    def eval_vertical(self, c, t0, dt, count):
-        k, ctx = self.k, self.ctx
-        out = []
-        zp = mp.exp(-mpc(c, t0) * self.lnz)
-        zstep = mp.exp(-mpc(0, dt) * self.lnz)
-        for u in range(count):
-            s = mpc(c, t0 + u * dt)
-            v = special.gamma(s, ctx) ** k * zp
-            if k > 1:
-                v *= mp.cospi(s / 2) ** (k - 1)
-            out.append(v)
-            zp = zp * zstep
-        return out
-
-
 def psi_kernel(k: int, z, ctx: PrecisionContext):
     """(1/2 pi i) * integral of Gamma^k(s) cos^{k-1}(pi s/2) z^{-s} ds, z > 0.
 
@@ -326,8 +368,8 @@ def psi_kernel(k: int, z, ctx: PrecisionContext):
         if not z > 0 or k < 1:
             raise special.DomainError("psi_kernel requires k >= 1 and z > 0")
         settings = line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
-        return line_integral(_KernelIntegrand(k, z, ctx), settings, ctx,
-                             conj_symmetric=True)
+        f = VerticalProduct(ctx, gamma_power=k, cos_power=k - 1, neg_s_base=z)
+        return line_integral(f, settings, ctx, conj_symmetric=True)
 
 
 def meijer_g_psi_kernel(k: int, z, ctx: PrecisionContext):

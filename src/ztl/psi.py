@@ -10,16 +10,20 @@ Psi strategies:
 The weighted series sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n) is evaluated by
 folding the divisor sum into the contour integral (one quadrature instead of
 thousands); the explicit n-sum survives as a cross-check strategy.
+
+Both folds integrate ``mellin.VerticalProduct``; the Bessel-pair, kernel and
+explicit n-sums truncate through ``special.sum_until_negligible``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc
+from mpmath import mp, mpf
 
 from .hp import PrecisionContext
 from . import special, mellin
+from .mellin import VerticalProduct
 
 __all__ = ["PsiRequest", "PsiValue", "SeriesRequest", "SeriesValue",
            "psi", "series_L"]
@@ -77,63 +81,6 @@ class SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# vertical-line integrand shared by every fold in the package
-
-class VerticalProduct:
-    """prod_i zeta(a_i + eps_i s)^{k_i} * Gamma(s)^g * cos(pi s/2)^p * base^{-s}
-    evaluated on equispaced nodes of a vertical line.
-
-    Zeta factors ride the memoized vertical-run evaluator; Gamma nodes hit the
-    scalar memo; cos and base^{-s} advance by one multiplication per node.
-    """
-
-    def __init__(self, ctx, zeta_factors=(), gamma_power=0, cos_power=0,
-                 neg_s_base=1, prefactor=1):
-        self.ctx = ctx
-        self.zeta_factors = tuple(zeta_factors)   # (shift a, eps, power)
-        self.gamma_power = gamma_power
-        self.cos_power = cos_power
-        with ctx.scoped():
-            self.ln_base = mp.log(mpf(neg_s_base))
-            self.prefactor = mpc(prefactor)
-
-    def eval_vertical(self, c, t0, dt, count):
-        ctx = self.ctx
-        with ctx.scoped():
-            vals = [self.prefactor] * count
-            for (a, eps, power) in self.zeta_factors:
-                run = special.zeta_vertical_run(a + eps * c, eps * t0, eps * dt,
-                                                count, ctx)
-                for u in range(count):
-                    vals[u] *= run[u] ** power
-            if self.gamma_power:
-                g = self.gamma_power
-                for u in range(count):
-                    s = mpc(c, t0 + u * dt)
-                    vals[u] *= special.gamma(s, ctx) ** g
-            if self.cos_power:
-                # cos(pi s/2) = cos(pi c/2) cosh(pi t/2) - i sin(pi c/2) sinh(pi t/2)
-                p = self.cos_power
-                cc = mp.cospi(c / 2)
-                ss = mp.sinpi(c / 2)
-                e = mp.exp(mp.pi * t0 / 2)
-                estep = mp.exp(mp.pi * dt / 2)
-                half = mpf(1) / 2
-                for u in range(count):
-                    ei = 1 / e
-                    cosv = mpc(cc * (e + ei) * half, -ss * (e - ei) * half)
-                    vals[u] *= cosv ** p if p > 0 else 1 / cosv
-                    e = e * estep
-            if self.ln_base != 0:
-                zp = mp.exp(-mpc(c, t0) * self.ln_base)
-                zstep = mp.exp(-mpc(0, dt) * self.ln_base)
-                for u in range(count):
-                    vals[u] *= zp
-                    zp = zp * zstep
-            return vals
-
-
-# ---------------------------------------------------------------------------
 # divisor tables, grown on demand and shared per k
 
 _DIV_CACHE: dict[int, special.DivisorTable] = {}
@@ -175,49 +122,21 @@ def _psi_closed(k, rho, x, ctx) -> PsiValue:
                         strategy="closed_form")
     # k=2: sum_j d(j) [K0(2 eps sqrt(rho j x)) + conjugate]
     eps = mp.expjpi(mpf(1) / 4)
-    thresh = ctx.tolerance(-5)
-    acc = mpf(0)
-    last = mpf(0)
-    consec = 0
-    j = 1
-    while True:
-        tab = divisor_counts(2, j)
-        term = tab.d(j) * 2 * special.bessel_k0(2 * eps * mp.sqrt(rho * j * x), ctx).real
-        acc += term
-        last = abs(term)
-        if last < thresh * max(1, abs(acc)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-        j += 1
-        if j > 10 ** 6:
-            raise ArithmeticError("Bessel series for Psi (k=2) stalled")
-    return PsiValue(value=acc, error_estimate=last, strategy="closed_form")
+
+    def term(j):
+        return (divisor_counts(2, j).d(j) * 2
+                * special.bessel_k0(2 * eps * mp.sqrt(rho * j * x), ctx).real)
+
+    acc, last, _ = special.sum_until_negligible(term, ctx, 3, 10 ** 6,
+                                                "Bessel series for Psi (k=2)")
+    return PsiValue(value=acc, error_estimate=abs(last), strategy="closed_form")
 
 
 def _psi_term_sum(k, rho, x, ctx) -> PsiValue:
-    thresh = ctx.tolerance(-5)
-    acc = mpf(0)
-    last = mpf(0)
-    consec = 0
-    j = 1
-    while True:
-        tab = divisor_counts(k, j)
-        term = tab.d(j) * mellin.psi_kernel(k, rho * j * x, ctx)
-        acc += term
-        last = abs(term)
-        if last < thresh * max(1, abs(acc)):
-            consec += 1
-            if consec >= 3:
-                break
-        else:
-            consec = 0
-        j += 1
-        if j > 10 ** 5:
-            raise ArithmeticError("kernel series for Psi stalled")
-    return PsiValue(value=acc, error_estimate=last, strategy="term_sum")
+    acc, last, _ = special.sum_until_negligible(
+        lambda j: divisor_counts(k, j).d(j) * mellin.psi_kernel(k, rho * j * x, ctx),
+        ctx, 3, 10 ** 5, "kernel series for Psi")
+    return PsiValue(value=acc, error_estimate=abs(last), strategy="term_sum")
 
 
 def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
@@ -253,21 +172,10 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
             settings = mellin.line_settings(ctx, c, poly_power=float(k) * (float(c) - 0.5))
             v = mellin.line_integral(f, settings, ctx, conj_symmetric=True)
             return SeriesValue(value=v, terms_used=None, strategy="fold")
-        thresh = ctx.tolerance(-5)
-        acc = mpf(0)
-        consec = 0
-        n = 1
-        while n <= req.N_max:
-            tab = divisor_counts(k, n)
+
+        def term(n):
             pv = psi(PsiRequest(rho=rho, k=k, x=mpf(n)), ctx)
-            term = tab.d(n) * mp.power(n, -(2 * m + 1)) * pv.value
-            acc += term
-            if abs(term) < thresh * max(1, abs(acc)):
-                consec += 1
-                if consec >= 5:
-                    return SeriesValue(value=acc, terms_used=n, strategy="terms")
-            else:
-                consec = 0
-            n += 1
-        raise ArithmeticError(
-            f"series did not converge within N_max={req.N_max} terms")
+            return divisor_counts(k, n).d(n) * mp.power(n, -(2 * m + 1)) * pv.value
+
+        acc, _, n = special.sum_until_negligible(term, ctx, 5, req.N_max, "weighted series")
+        return SeriesValue(value=acc, terms_used=n, strategy="terms")

@@ -22,11 +22,6 @@ from . import identities
 _SEED = 20240131
 
 
-def _tol(ctx):
-    slack = 20 if ctx.digits >= 40 else 10
-    return ctx.tolerance(slack)
-
-
 def check_hp_add_sub_roundtrip(ctx):
     rng = random.Random(_SEED)
     worst = mpf(0)
@@ -63,7 +58,7 @@ def check_hp_serialization(ctx):
 
 def check_gamma_reflection(ctx):
     rng = random.Random(_SEED + 2)
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         worst = mpf(0)
         for _ in range(100):
@@ -77,7 +72,7 @@ def check_gamma_reflection(ctx):
 
 def check_gamma_duplication(ctx):
     rng = random.Random(_SEED + 3)
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         worst = mpf(0)
         for _ in range(100):
@@ -92,7 +87,7 @@ def check_gamma_duplication(ctx):
 
 def check_zeta_functional_equation(ctx):
     rng = random.Random(_SEED + 4)
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         worst = mpf(0)
         for _ in range(40):
@@ -105,7 +100,7 @@ def check_zeta_functional_equation(ctx):
 
 
 def check_euler_even_zeta(ctx):
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         worst = mpf(0)
         for m in range(1, 9):
@@ -155,7 +150,7 @@ def check_divisor_multiplicative(ctx):
 
 
 def check_lambert_two_forms(ctx):
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         a = special.lambert_series(-1, 2 * mp.pi, ctx)
         b = special.lambert_series_sigma_form(-1, 2 * mp.pi, ctx)
@@ -164,7 +159,7 @@ def check_lambert_two_forms(ctx):
 
 
 def check_bessel_k_half(ctx):
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         v = special.bessel_k_half(1, ctx)
         res = abs(v - mp.sqrt(mp.pi / 2) / mp.e)
@@ -264,7 +259,7 @@ def check_series_tail(ctx):
 
 
 def check_theta_reflection_duality(ctx):
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         th = mpf(3) / 10
         k, m = 2, 1
@@ -272,8 +267,7 @@ def check_theta_reflection_duality(ctx):
         rm = identities.verify_main(identities.IdentityParams(k=k, m=m, theta=-th), ctx)
         if not (rp.passed and rm.passed):
             return False, "one of the mirrored runs failed"
-        alpha = mp.pi * mp.exp(th)
-        beta = mp.pi / mp.exp(th)
+        alpha, beta = identities.alpha_beta(th, ctx)
         # alpha-side bracket from the theta run vs from the mirrored run's rhs
         bracket_direct = rp.lhs * (alpha ** k) ** m
         blk = identities.bernoulli_block(k, m, beta, alpha, ctx)
@@ -293,7 +287,7 @@ def check_reindex_exact(ctx):
 
 
 def check_lerch_value(ctx):
-    tol = _tol(ctx)
+    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
         L = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=1), ctx).value
         res = abs(special.zeta(3, ctx) + 2 * L - 7 * mp.pi ** 3 / 180)

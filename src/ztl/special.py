@@ -2,8 +2,9 @@
 
 Complex Gamma (mpmath's, behind a pole check and a memo), complex Riemann
 zeta (Euler-Maclaurin + functional equation), exact rational Bernoulli
-numbers, modified Bessel K0 / K_{1/2}, the Piltz divisor sieve, and Lambert
-series.
+numbers, modified Bessel K0 / K_{1/2}, the Piltz divisor sieve, Lambert
+series, and ``sum_until_negligible``, the one adaptive truncation rule that
+every slowly decaying series of the package stops by.
 
 Two evaluation surfaces coexist:
 
@@ -30,7 +31,8 @@ from .hp import PrecisionContext
 __all__ = [
     "PoleError", "DomainError", "BernoulliTable", "DivisorTable",
     "bernoulli", "gamma", "zeta", "bessel_k0", "bessel_k_half",
-    "divisor_sieve", "lambert_series", "zeta_vertical_run", "clear_caches",
+    "divisor_sieve", "sum_until_negligible", "lambert_series",
+    "zeta_vertical_run", "clear_caches",
 ]
 
 
@@ -427,7 +429,7 @@ def _k0_series(z: mpc, prec: int) -> mpc:
 
 
 # ---------------------------------------------------------------------------
-# Piltz divisor sieve and Lambert series
+# Piltz divisor sieve, adaptive series truncation and Lambert series
 
 @dataclass(frozen=True)
 class DivisorTable:
@@ -476,6 +478,26 @@ def divisor_sieve(k: int, N: int, sigma_exponents=(), ctx: PrecisionContext | No
     return DivisorTable(k=k, counts=tuple(counts[1:]), sigma=sigma)
 
 
+def sum_until_negligible(term, ctx: PrecisionContext, run: int, cap: int, what: str):
+    """Sum term(1), term(2), ... until |term(n)| < 10^-(digits+5) max(1, |acc|)
+    for ``run`` consecutive n; returns (acc, last term, n). Raises
+    ArithmeticError naming ``what`` when term(cap) still leaves the run short.
+    Call inside the caller's precision scope."""
+    thresh = ctx.tolerance(-5)
+    acc = mpf(0)
+    consec = 0
+    for n in range(1, cap + 1):
+        t = term(n)
+        acc += t
+        if abs(t) < thresh * max(1, abs(acc)):
+            consec += 1
+            if consec >= run:
+                return acc, t, n
+        else:
+            consec = 0
+    raise ArithmeticError(f"{what} did not converge within {cap} terms")
+
+
 def lambert_series(a, y, ctx: PrecisionContext):
     """sum_{n>=1} n^a / (e^{ny} - 1) for y > 0.
 
@@ -487,22 +509,8 @@ def lambert_series(a, y, ctx: PrecisionContext):
         y = mpf(y)
         if y <= 0:
             raise DomainError("lambert_series requires y > 0")
-        thresh = ctx.tolerance(-5)
-        acc = mpf(0)
-        consec = 0
-        n = 1
-        while True:
-            term = mp.power(n, a) / mp.expm1(n * y)
-            acc += term
-            if abs(term) < thresh * max(1, abs(acc)):
-                consec += 1
-                if consec >= 3:
-                    break
-            else:
-                consec = 0
-            n += 1
-            if n > 10 ** 7:
-                raise ArithmeticError("lambert_series failed to converge")
+        acc, _, _ = sum_until_negligible(lambda n: mp.power(n, a) / mp.expm1(n * y),
+                                         ctx, 3, 10 ** 7, "lambert_series")
         return +acc
 
 
@@ -513,26 +521,15 @@ def lambert_series_sigma_form(a, y, ctx: PrecisionContext):
         y = mpf(y)
         if y <= 0:
             raise DomainError("lambert_series requires y > 0")
-        thresh = ctx.tolerance(-5)
-        acc = mpf(0)
-        consec = 0
-        n = 1
-        while True:
+
+        def term(n):
             sig = mpf(0)
             for d in range(1, n + 1):
                 if n % d == 0:
                     sig += mp.power(d, a)
-            term = sig * mp.exp(-n * y)
-            acc += term
-            if abs(term) < thresh * max(1, abs(acc)):
-                consec += 1
-                if consec >= 3:
-                    break
-            else:
-                consec = 0
-            n += 1
-            if n > 10 ** 5:
-                raise ArithmeticError("sigma-form series failed to converge")
+            return sig * mp.exp(-n * y)
+
+        acc, _, _ = sum_until_negligible(term, ctx, 3, 10 ** 5, "sigma-form series")
         return +acc
 
 

@@ -135,6 +135,39 @@ def test_verify_trace_output(capsys):
     assert '"kind": "line"' in out and '"discrepancy"' in out and '"estimate"' in out
 
 
+def test_sweep_trace_output(tmp_path, capsys):
+    args = ["sweep", "--identity", "quasimodular", "--k", "1", "--theta", "0,0.5",
+            "--digits", "30"]
+    plain = tmp_path / "plain.csv"
+    assert run(args + ["--out", str(plain), "--jobs", "1"]) == 0
+    assert '"kind"' not in capsys.readouterr().out
+    for jobs in ("1", "2"):
+        traced = tmp_path / f"traced{jobs}.csv"
+        assert run(args + ["--out", str(traced), "--jobs", jobs, "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert '"kind": "line"' in out and '"estimate"' in out
+        # the traces come after the report lines, as one JSON list
+        report_lines, _, dump = out.partition("\n[")
+        assert report_lines.count("PASS quasimodular") == 2
+        assert all(t["kind"] in ("line", "circle") for t in json.loads("[" + dump))
+        assert traced.read_bytes() == plain.read_bytes()
+
+
+def test_sweep_trace_sink_removed_after_failing_cell(monkeypatch, capsys):
+    sinks = []
+
+    def verify(identity, *, k, m, theta, ctx):
+        sinks.append(mellin._TRACE_SINK)
+        raise mellin.QuadratureError("forced failure")
+    monkeypatch.setattr(identities, "verify", verify)
+    assert run(["sweep", "--identity", "ramanujan", "--m", "1,-1", "--digits", "30",
+                "--jobs", "1", "--trace"]) == 3
+    capsys.readouterr()
+    # each cell got a fresh sink, and the failure did not leave one behind
+    assert sinks == [[], []] and sinks[0] is not sinks[1]
+    assert mellin._TRACE_SINK is None
+
+
 def test_selftest_filtered(capsys):
     assert run(["selftest", "--digits", "15", "--filter", "reindex"]) == 0
     out = capsys.readouterr().out

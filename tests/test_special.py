@@ -283,6 +283,31 @@ def test_divisor_csv_and_sigma(ctx30):
 
 
 # ---------------------------------------------------------------------------
+# adaptive truncation
+
+
+@pytest.mark.parametrize("run,stop", [(3, 119), (5, 121)])
+def test_sum_until_negligible_stops_after_run(ctx30, run, stop):
+    # 2^-n < 10^-35 first at n = 117 (35 log2(10) = 116.3); every partial sum
+    # 1 - 2^-n is exact, so the stop index and both returned values are exact
+    with ctx30.scoped():
+        acc, last, n = special.sum_until_negligible(
+            lambda j: mpf(2) ** -j, ctx30, run, 1000, "halving series")
+        assert n == stop
+        assert last == mpf(2) ** -stop
+        assert acc == 1 - mpf(2) ** -stop
+
+
+@pytest.mark.parametrize("term", [lambda n: mpf(1), lambda n: mpf(n % 3 == 0)],
+                         ids=["constant", "reset-every-third"])
+def test_sum_until_negligible_raises_past_cap(ctx30, term):
+    # a constant term never decays; zeros at n = 1, 2 (mod 3) never make a
+    # run of three, because every third term resets the count
+    with ctx30.scoped(), pytest.raises(ArithmeticError, match="toy series .* 20 terms"):
+        special.sum_until_negligible(term, ctx30, 3, 20, "toy series")
+
+
+# ---------------------------------------------------------------------------
 # Lambert series
 
 
