@@ -67,7 +67,13 @@ def _parse_config_file(path: str) -> dict:
     return conf
 
 
-def _default_digits() -> int:
+def _digits(flag: int | None, default: int | None = None) -> int:
+    """The --digits value when given, 0 included (with_precision rejects it);
+    else ``default``; else ZTL_DIGITS; else 50."""
+    if flag is not None:
+        return flag
+    if default is not None:
+        return default
     env = os.environ.get("ZTL_DIGITS")
     if env:
         try:
@@ -126,7 +132,7 @@ def _print_trace(sink: list | None) -> None:
 # verify
 
 def cmd_verify(args) -> int:
-    digits = args.digits or _default_digits()
+    digits = _digits(args.digits)
     identity = args.identity
     m = args.m if args.m is not None else (2 if identity == "eisenstein" else 1)
     _check_identity_params(identity, args.k, m)
@@ -259,11 +265,8 @@ def _build_config(args) -> RunConfig:
         if key in conf:
             return conv(conf[key])
         return default
-    digits = pick(args.digits, "digits", None, int)
-    if digits is None:
-        digits = _default_digits()
     cfg = RunConfig(
-        digits=digits,
+        digits=_digits(pick(args.digits, "digits", None, int)),
         identity=pick(_str_list(args.identity) if args.identity is not None else None,
                       "identity", ["main"], _str_list),
         k_list=pick(_int_list(args.k_list) if args.k_list is not None else None,
@@ -288,7 +291,7 @@ def _build_config(args) -> RunConfig:
 # psi
 
 def cmd_psi(args) -> int:
-    digits = args.digits or _default_digits()
+    digits = _digits(args.digits)
     ctx = with_precision(digits)
     xs = _str_list(args.x)
     if not xs:
@@ -326,8 +329,7 @@ def cmd_psi(args) -> int:
 # selftest
 
 def cmd_selftest(args) -> int:
-    digits = args.digits or 40
-    ok = selftest.run(digits=digits, name_filter=args.filter or "")
+    ok = selftest.run(digits=_digits(args.digits, 40), name_filter=args.filter or "")
     return EXIT_PASS if ok else EXIT_FAIL
 
 

@@ -32,6 +32,10 @@ def test_usage_errors_exit_two(capsys):
     assert run(["psi", "--k", "3", "--rho", "2", "--x", "1", "--strategy",
                 "closed_form", "--digits", "30"]) == 2
     assert run(["verify", "main", "--k", "1", "--m", "1", "--digits", "10"]) == 2
+    # 0 is a value, not "use the default"
+    assert run(["psi", "--k", "1", "--rho", "1", "--x", "1", "--digits", "0"]) == 2
+    assert run(["selftest", "--digits", "0", "--filter", "reindex"]) == 2
+    assert "digits must be an integer >= 15, got 0" in capsys.readouterr().err
 
 
 def test_psi_single_value(capsys):

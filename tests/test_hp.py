@@ -71,13 +71,6 @@ def test_pi_rounds_at_15_digits():
         assert mp.nstr(hp.const_pi(ctx), 15) == "3.14159265358979"
 
 
-def test_doubling_digits_keeps_leading_digits():
-    a = hp.with_precision(50)
-    b = hp.with_precision(100)
-    for f in (hp.const_pi, hp.const_euler_gamma, hp.const_log_2pi):
-        assert mp.nstr(f(a), 48) == mp.nstr(f(b), 48)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-1, 1, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
        st.floats(-1, 1, allow_nan=False).filter(lambda v: abs(v) > 1e-3),

@@ -174,21 +174,6 @@ def test_lerch_m_minus_one_matches_quasimodular_at_theta_zero(ctx50):
         assert abs(q.lhs - 2 * mp.pi ** 2 * r.lhs) < mpf(10) ** -30
 
 
-def test_theta_reflection_duality(ctx50):
-    with ctx50.scoped():
-        th = mpf(3) / 10
-        k, m = 2, 1
-        rp = idn.verify_main(IdentityParams(k=k, m=m, theta=th), ctx50)
-        rm = idn.verify_main(IdentityParams(k=k, m=m, theta=-th), ctx50)
-        assert rp.passed and rm.passed
-        alpha = mp.pi * mp.exp(th)
-        bracket_direct = rp.lhs * (alpha ** k) ** m
-        blk = idn.bernoulli_block(k, m, mp.pi / mp.exp(th), alpha, ctx50)
-        sgn = -1 if m % 2 else 1
-        bracket_mirrored = (rm.rhs - blk) * sgn * (alpha ** k) ** m
-        assert abs(bracket_direct - bracket_mirrored) < mpf(10) ** -30
-
-
 def test_identity_params():
     ctx = hp.with_precision(30)
     with ctx.scoped():

@@ -6,12 +6,6 @@ from mpmath import mp, mpf
 from ztl import hp, mellin, special
 
 
-def test_settings_truncation_bound(ctx50):
-    st = mellin.line_settings(ctx50, mpf(5) / 2, poly_power=8.0)
-    with ctx50.scoped():
-        assert mp.exp(-mp.pi * st.T / 2) * st.T ** 8 < ctx50.tolerance(-5)
-
-
 def test_settings_require_c_above_one(ctx50):
     with pytest.raises(special.DomainError):
         mellin.line_settings(ctx50, mpf(1) / 2)
@@ -39,30 +33,6 @@ def test_embedded_estimate_accepts_second_level(ctx50):
             assert len(tr) == 2
             assert tr[0]["estimate"] is None and tr[1]["estimate"] is not None
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
-
-
-def test_conjugate_symmetric_integrand_has_tiny_imag(ctx50):
-    with ctx50.scoped():
-        st = mellin.line_settings(ctx50, 2, poly_power=1.5)
-        f = lambda s: special.gamma(s, ctx50) * mpf(3) ** (-s)
-        v = mellin.line_integral(f, st, ctx50)
-        assert abs(v.imag) < ctx50.tolerance(2)
-        assert abs(v.real - mp.exp(-3)) < ctx50.tolerance(2)
-
-
-def test_refinement_discrepancies_shrink_geometrically(ctx30):
-    with ctx30.scoped():
-        for x in (1, 5, 3):
-            f = lambda s: special.gamma(s, ctx30) * mpf(x) ** (-s)
-            st = mellin.QuadratureSettings(
-                c=mpf(2), h0=mpf(1) / 2, T=mellin.line_settings(ctx30, 2).T)
-            tr = []
-            mellin.line_integral(f, st, ctx30, conj_symmetric=True, trace=tr)
-            discs = [t["discrepancy"] for t in tr if t["discrepancy"]]
-            assert len(discs) >= 2
-            for a, b in zip(discs, discs[1:]):
-                if b != 0:
-                    assert a / b >= 10
 
 
 def test_non_convergence_raises_with_last_values(ctx50):
@@ -105,13 +75,6 @@ def test_cauchy_zeta_prime_at_zero(ctx50):
         fd = (4 * d2 - d1) / 3          # one Richardson step
     with ctx50.scoped():
         assert abs(v - fd) < mpf(10) ** -45
-
-
-def test_cauchy_order_zero_equals_value(ctx50):
-    with ctx50.scoped():
-        cs = mellin.circle_settings(ctx50, 0)
-        v = mellin.cauchy_derivative(lambda s: special.zeta(2 + s, ctx50), 0, cs, ctx50)
-        assert abs(v - special.zeta(2, ctx50)) < ctx50.tolerance(2)
 
 
 def test_cauchy_detects_singularity_near_contour(ctx30):

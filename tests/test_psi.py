@@ -144,15 +144,6 @@ def test_series_k2_fold_vs_bessel_double_sum(ctx30):
         assert abs(L.value - acc) < ctx30.tolerance(8)
 
 
-def test_series_tail_stability_under_nmax_doubling(ctx30):
-    with ctx30.scoped():
-        a = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=1, N_max=50_000), ctx30,
-                     strategy="terms")
-        b = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=1, N_max=100_000), ctx30,
-                     strategy="terms")
-        assert abs(a.value - b.value) < ctx30.tolerance(5)
-
-
 def test_series_nmax_exhaustion(ctx30):
     with pytest.raises(ArithmeticError):
         series_L(SeriesRequest(rho=mpf(1) / 100, k=1, m=-3, N_max=4), ctx30,
