@@ -95,22 +95,11 @@ def _str_list(text: str) -> list[str]:
 
 
 def _check_identity_params(identity: str, k: int, m: int | None) -> None:
-    if identity not in identities.IDENTITY_NAMES:
-        raise UsageError(f"unknown identity {identity!r}; choose from {identities.IDENTITY_NAMES}")
-    if k < 1:
-        raise UsageError("k must be a positive integer")
-    needs_m = identity in ("main", "ramanujan", "dixit", "eisenstein", "lerch")
-    if needs_m:
-        if m is None:
-            raise UsageError(f"{identity} requires --m")
-        if m == 0 and identity != "eisenstein":
-            raise UsageError("m must be nonzero")
-        if identity == "eisenstein" and m <= 1:
-            raise UsageError("eisenstein requires m > 1")
-        if identity == "lerch" and m % 2 == 0:
-            raise UsageError("lerch requires odd m")
-        if abs(2 * m + 1) > MAX_ABS_WEIGHT:
-            raise UsageError(f"|2m+1| must be <= {MAX_ABS_WEIGHT}")
+    """The identity's own rules (``identities.check_params``), then the
+    weight cap of the command line."""
+    identities.check_params(identity, k, m)
+    if m is not None and abs(2 * m + 1) > MAX_ABS_WEIGHT:
+        raise UsageError(f"|2m+1| must be <= {MAX_ABS_WEIGHT}")
 
 
 def _theta_from_args(args) -> str:
@@ -129,22 +118,15 @@ def _print_trace(sink: list | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: a sweep of one cell
 
 def cmd_verify(args) -> int:
-    digits = _digits(args.digits)
-    identity = args.identity
-    m = args.m if args.m is not None else (2 if identity == "eisenstein" else 1)
-    _check_identity_params(identity, args.k, m)
-    theta = _theta_from_args(args)
-    ctx = with_precision(digits)
-    with mellin.trace_sink(args.trace) as sink:
-        report = identities.verify(identity, k=args.k, m=m, theta=theta, ctx=ctx)
-    print(report)
-    _print_trace(sink)
-    if args.out:
-        _write_rows(args.out, args.format, [report], timing=args.timing)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    row = identities.IDENTITIES[args.identity]
+    return _run(RunConfig(
+        digits=_digits(args.digits), identity=[args.identity], k_list=[args.k],
+        m_list=[args.m if args.m is not None else row.default_m()],
+        theta_list=[_theta_from_args(args)], out=args.out, format=args.format,
+        jobs=1, trace=args.trace, timing=args.timing))
 
 
 # ---------------------------------------------------------------------------
@@ -157,44 +139,40 @@ def _sweep_cell(task, trace: bool):
     identity, k, m, theta, digits = task
     ctx = with_precision(digits)
     with mellin.trace_sink(trace) as sink:
-        report = identities.verify(identity, k=k, m=m if m is not None else 1,
-                                   theta=theta or "0", ctx=ctx)
+        report = identities.verify(identity, k=k, m=m, theta=theta, ctx=ctx)
     return report, sink
 
 
 def _sweep_grid(cfg: RunConfig) -> list[tuple]:
+    """The cells (identity, k, m, theta, digits) in grid order. Each
+    identity's row in ``identities.IDENTITIES`` fixes its k or collapses the
+    axes it lacks to None; under 'all' it also keeps only the m it accepts."""
     if not cfg.k_list or not cfg.m_list or not cfg.theta_list or not cfg.identity:
         raise UsageError("sweep grids must be non-empty")
+    if min(cfg.k_list) < 1:
+        raise UsageError("k must be a positive integer")
     expand_all = "all" in cfg.identity
     tasks = []
     for identity in identities.IDENTITY_NAMES if expand_all else cfg.identity:
-        k_list = cfg.k_list
-        m_list: list[int | None] = list(cfg.m_list)
-        theta_list: list[str | None] = list(cfg.theta_list)
-        if identity in ("ramanujan", "dixit"):
-            k_list = [2 if identity == "dixit" else 1]
-        if identity in ("quasimodular", "eta"):
-            m_list = [None]
+        row = identities.IDENTITIES[identity]
+        m_list = cfg.m_list if row.has_m else [None]
         if expand_all:
-            # 'all' narrows eisenstein and lerch to the m they accept, as the
-            # other identities collapse the grid axes they lack
-            if identity == "eisenstein":
-                m_list = [m for m in m_list if m > 1]
-            elif identity == "lerch":
-                m_list = [m for m in m_list if m % 2]
-        if identity == "lerch":
-            theta_list = [None]
-        for k in k_list:
+            m_list = [m for m in m_list if m is None or row.m_rule(m)]
+        for k in [row.fixed_k] if row.fixed_k else cfg.k_list:
             for m in m_list:
-                if m is not None:
-                    _check_identity_params(identity, k, m)
-                for theta in theta_list:
+                _check_identity_params(identity, k, m)
+                for theta in cfg.theta_list if row.has_theta else [None]:
                     tasks.append((identity, k, m, theta, cfg.digits))
     return tasks
 
 
 def cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    return _run(_build_config(args))
+
+
+def _run(cfg: RunConfig) -> int:
+    """Run every cell of the grid, print the reports (and traces), write
+    --out, and name each cell that did not converge."""
     tasks = _sweep_grid(cfg)
     jobs = cfg.jobs or os.cpu_count() or 1
     reports = []

@@ -8,8 +8,10 @@ constraint alpha*beta = pi^2 holds by construction and never drifts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,16 +23,14 @@ from .mellin import VerticalProduct
 from .psi import PsiRequest, SeriesRequest, psi, series_L, divisor_counts
 
 __all__ = [
-    "IdentityParams", "VerificationReport", "IDENTITY_NAMES", "alpha_beta",
+    "IdentityParams", "VerificationReport", "Identity", "IDENTITIES",
+    "IDENTITY_NAMES", "check_params", "alpha_beta",
     "pass_tolerance", "derivative_term", "bernoulli_block",
     "verify_main", "verify_ramanujan_classical", "verify_dixit",
     "verify_eisenstein", "verify_quasimodular", "verify_eta",
     "verify_lerch_general", "verify", "lambda_line_value",
     "self_duality_check", "residue_assembly_check",
 ]
-
-IDENTITY_NAMES = ("main", "ramanujan", "dixit", "eisenstein",
-                  "quasimodular", "eta", "lerch")
 
 CSV_HEADER = "identity,k,m,theta,lhs,rhs,abs_res,rel_res,digits,seconds"
 
@@ -52,6 +52,59 @@ class IdentityParams:
 
     def alpha_beta(self, ctx):
         return alpha_beta(self.theta, ctx)
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One row of ``IDENTITIES``: ``run(k, m, theta, ctx)``, which ignores
+    a fixed k and the axes the identity lacks, and ``m_rule``, the
+    identity's own condition on m beside m != 0."""
+
+    run: Callable
+    fixed_k: int | None = None
+    has_m: bool = True
+    has_theta: bool = True
+    m_rule: Callable[[int], bool] = lambda m: True
+    m_message: str = ""
+
+    def default_m(self) -> int:
+        """The smallest positive m the identity accepts."""
+        return next(m for m in itertools.count(1) if self.m_rule(m))
+
+
+# Each lambda looks its verifier up when called, so a rebound module name
+# (a tracer's wrapper, a test double) is the one that runs.
+IDENTITIES = {
+    "main": Identity(lambda k, m, theta, ctx: verify_main(
+        IdentityParams(k=k, m=m, theta=ctx.mpf(theta)), ctx)),
+    "ramanujan": Identity(lambda k, m, theta, ctx: verify_ramanujan_classical(m, theta, ctx),
+                          fixed_k=1),
+    "dixit": Identity(lambda k, m, theta, ctx: verify_dixit(m, theta, ctx), fixed_k=2),
+    "eisenstein": Identity(lambda k, m, theta, ctx: verify_eisenstein(k, m, theta, ctx),
+                           m_rule=lambda m: m > 1, m_message="eisenstein requires m > 1"),
+    "quasimodular": Identity(lambda k, m, theta, ctx: verify_quasimodular(k, theta, ctx),
+                             has_m=False),
+    "eta": Identity(lambda k, m, theta, ctx: verify_eta(k, theta, ctx), has_m=False),
+    "lerch": Identity(lambda k, m, theta, ctx: verify_lerch_general(k, m, ctx),
+                      has_theta=False, m_rule=lambda m: m % 2 == 1,
+                      m_message="lerch requires odd m"),
+}
+IDENTITY_NAMES = tuple(IDENTITIES)
+
+
+def check_params(identity: str, k: int, m: int | None) -> None:
+    """Raise DomainError unless ``identity`` accepts k and m; m is not
+    looked at for an identity without an m parameter."""
+    row = IDENTITIES.get(identity)
+    if row is None:
+        raise special.DomainError(f"unknown identity {identity!r}")
+    if k < 1:
+        raise special.DomainError("k must be a positive integer")
+    if row.has_m:
+        if not row.m_rule(m):
+            raise special.DomainError(row.m_message)
+        if m == 0:
+            raise special.DomainError("m must be nonzero")
 
 
 def alpha_beta(theta, ctx: PrecisionContext):
@@ -205,8 +258,7 @@ def _neg_pow(base, m: int):
 
 def verify_main(params: IdentityParams, ctx: PrecisionContext) -> VerificationReport:
     """Transformation formula for the k-th power of odd zeta values."""
-    if params.m == 0:
-        raise special.DomainError("m must be nonzero")
+    check_params("main", params.k, params.m)
     t0 = time.perf_counter()
     k, m = params.k, params.m
     with ctx.scoped():
@@ -225,8 +277,7 @@ def verify_main(params: IdentityParams, ctx: PrecisionContext) -> VerificationRe
 def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """The classical odd-zeta identity, evaluated through Lambert series
     only; fully independent of the Psi machinery."""
-    if m == 0:
-        raise special.DomainError("m must be nonzero")
+    check_params("ramanujan", 1, m)
     t0 = time.perf_counter()
     with ctx.scoped():
         alpha, beta = alpha_beta(theta, ctx)
@@ -242,8 +293,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     for the Koshliakov function (leading factor 2), digamma-free log
     derivative of zeta from the circle operator, Euler's constant from the
     constants table."""
-    if m == 0:
-        raise special.DomainError("m must be nonzero")
+    check_params("dixit", 2, m)
     t0 = time.perf_counter()
     with ctx.scoped():
         alpha, beta = alpha_beta(theta, ctx)
@@ -274,8 +324,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
 def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """Weight-2m Eisenstein-type transformation (m > 1): no Bernoulli block
     survives on the right-hand side."""
-    if m <= 1:
-        raise special.DomainError("eisenstein requires m > 1")
+    check_params("eisenstein", k, m)
     t0 = time.perf_counter()
     with ctx.scoped():
         alpha, beta = alpha_beta(theta, ctx)
@@ -338,8 +387,7 @@ def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
 def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationReport:
     """Odd-m specialization at alpha = beta = pi: the weighted series at
     rho = (2 pi)^k against the derivative term plus an explicit Bernoulli sum."""
-    if m == 0 or m % 2 == 0:
-        raise special.DomainError("lerch requires odd nonzero m")
+    check_params("lerch", k, m)
     t0 = time.perf_counter()
     with ctx.scoped():
         rho = (2 * mp.pi) ** k
@@ -353,22 +401,11 @@ def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationR
 
 def verify(identity: str, *, k: int = 1, m: int = 1, theta=0,
            ctx: PrecisionContext) -> VerificationReport:
-    """Dispatch by identity name (the CLI surface)."""
-    if identity == "main":
-        return verify_main(IdentityParams(k=k, m=m, theta=ctx.mpf(theta)), ctx)
-    if identity == "ramanujan":
-        return verify_ramanujan_classical(m, theta, ctx)
-    if identity == "dixit":
-        return verify_dixit(m, theta, ctx)
-    if identity == "eisenstein":
-        return verify_eisenstein(k, m, theta, ctx)
-    if identity == "quasimodular":
-        return verify_quasimodular(k, theta, ctx)
-    if identity == "eta":
-        return verify_eta(k, theta, ctx)
-    if identity == "lerch":
-        return verify_lerch_general(k, m, ctx)
-    raise special.DomainError(f"unknown identity {identity!r}")
+    """Run the identity named ``identity`` (the CLI surface); the
+    parameters it lacks are ignored."""
+    if identity not in IDENTITIES:
+        raise special.DomainError(f"unknown identity {identity!r}")
+    return IDENTITIES[identity].run(k, m, theta, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ behaves like C*exp(-2 pi d/h) on a line and C*rho^M on a circle, so it
 squares each time the nodes double (Trefethen & Weideman, SIAM Rev. 56,
 2014). The discrepancy disc = |I_fine - I_coarse| measures the error of the
 coarser value, and the finer value's error is about disc^2/C. With
-scale = max(|value|, abs_floor) <= C this gives the embedded estimate
+scale = max(|value|, 10^-5) <= C this gives the embedded estimate
 est = disc^2/scale, which can only over-state the error (Bailey, Jeyabalan &
 Li, Exp. Math. 14, 2005; mpmath's ``quadrature.estimate_error``).
 Refinement stops once est <= 10^-digits * scale.
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 _CHUNK = 96
+
+# floor of the scale in the stopping rule of both quadratures
+_ABS_FLOOR = mpf("1e-5")
+# doublings a Cauchy circle may take past its first level
+_CIRCLE_REFINE_LIMIT = 7
 
 # optional diagnostics: when a list is installed here, every quadrature
 # appends {"kind": ..., "steps": [...]} to it
@@ -72,24 +77,22 @@ class QuadratureSettings:
     """Trapezoid on the vertical line Re(s)=c, step h0 (halved on refinement),
     truncation cap T (grown 1.5x on refinement). A level is accepted when
     the embedded estimate disc^2/scale is at most 10^-digits * scale, where
-    scale = max(|value|, abs_floor); at most refine_limit halvings."""
+    scale = max(|value|, 1e-5); at most refine_limit halvings."""
 
     c: mpf
     h0: mpf
     T: mpf
     refine_limit: int = 10
-    abs_floor: mpf = mpf("1e-5")
 
 
 @dataclass(frozen=True)
 class CircleSettings:
-    """M-point trapezoid on a circle; no singularity may lie within radius."""
+    """M-point trapezoid on a circle, M = nodes doubled at most 7 times; no
+    singularity may lie within radius."""
 
     center: mpc
     radius: mpf
     nodes: int
-    refine_limit: int = 7
-    abs_floor: mpf = mpf("1e-5")
 
 
 def _truncation_height(digits: int, poly_power: float) -> mpf:
@@ -101,47 +104,38 @@ def _truncation_height(digits: int, poly_power: float) -> mpf:
     return mpf(math.ceil(T))
 
 
-def line_settings(ctx: PrecisionContext, c, poly_power: float = 2.0,
-                  h0=None, refine_limit: int = 10) -> QuadratureSettings:
-    """Settings for a production line integral; requires c > 1 (the strip in
-    which every integrand here is analytic up to its leftmost kept pole)."""
+def line_settings(ctx: PrecisionContext, c, poly_power: float = 2.0) -> QuadratureSettings:
+    """Settings for a production line integral, from h = 1/8; requires c > 1
+    (the strip in which every integrand here is analytic up to its leftmost
+    kept pole)."""
     c = mpf(c)
     if not c > 1:
         raise special.DomainError(f"line abscissa must satisfy c > 1, got {c}")
-    return QuadratureSettings(
-        c=c, h0=mpf(h0) if h0 else mpf(1) / 8,
-        T=_truncation_height(ctx.digits, poly_power), refine_limit=refine_limit)
+    return QuadratureSettings(c=c, h0=mpf(1) / 8, T=_truncation_height(ctx.digits, poly_power))
 
 
 def lambda_line_settings(ctx: PrecisionContext, lam, poly_power: float = 4.0) -> QuadratureSettings:
     """Settings for the negative-abscissa line used only by the self-duality
     cross-check; analyticity strip there is ~1/2 wide, so start at h=1/32."""
-    return QuadratureSettings(
-        c=mpf(lam), h0=mpf(1) / 32,
-        T=_truncation_height(ctx.digits, poly_power), refine_limit=10)
+    return QuadratureSettings(c=mpf(lam), h0=mpf(1) / 32,
+                              T=_truncation_height(ctx.digits, poly_power))
 
 
-def circle_settings(ctx: PrecisionContext, order: int, center=0,
-                    radius=None, nodes: int | None = None) -> CircleSettings:
-    min_nodes = max(64, 8 * (order + 1))
-    if nodes is None:
-        nodes = min_nodes
-    if nodes < min_nodes:
-        raise special.DomainError(f"circle needs at least {min_nodes} nodes")
-    return CircleSettings(center=mpc(center),
-                          radius=mpf(radius) if radius is not None else mpf(1) / 4,
-                          nodes=nodes)
+def circle_settings(ctx: PrecisionContext, order: int, center=0) -> CircleSettings:
+    """Radius 1/4 around ``center``, starting from max(64, 8(order+1)) nodes."""
+    return CircleSettings(center=mpc(center), radius=mpf(1) / 4,
+                          nodes=max(64, 8 * (order + 1)))
 
 
-def _accept(val, prev, abs_floor, rel):
+def _accept(val, prev, rel):
     """Trace fields for the level whose value is ``val`` and whether it is
     accepted. disc = |val - prev| is the coarser level's error; squared and
-    divided by scale = max(|val|, abs_floor) it bounds the error of ``val``
+    divided by scale = max(|val|, _ABS_FLOOR) it bounds the error of ``val``
     from above, since the trapezoid error squares when the nodes double."""
     if prev is None:
         return {"discrepancy": None, "estimate": None}, False
     disc = abs(val - prev)
-    scale = max(abs_floor, abs(val))
+    scale = max(_ABS_FLOOR, abs(val))
     est = disc * disc / scale
     return {"discrepancy": float(disc), "estimate": float(est)}, est <= rel * scale
 
@@ -282,14 +276,14 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
         T = settings.T
         f0 = values(mpf(0), h, 1)[0]
         for _level in range(settings.refine_limit + 1):
-            eps = rel * max(settings.abs_floor, abs(prev) if prev is not None else settings.abs_floor) / 10
+            eps = rel * max(_ABS_FLOOR, abs(prev) if prev is not None else _ABS_FLOOR) / 10
             up = scan_side(h, T, eps, 1)
             if conj_symmetric:
                 val = (h / (2 * mp.pi)) * (f0.real + 2 * mp.fsum(v.real for v in up))
             else:
                 down = scan_side(h, T, eps, -1)
                 val = (h / (2 * mp.pi)) * (f0 + mp.fsum(up) + mp.fsum(down))
-            step, done = _accept(val, prev, settings.abs_floor, rel)
+            step, done = _accept(val, prev, rel)
             if trace is not None:
                 trace.append({"h": float(h), "T": float(T), "value": str(val), **step})
             if done:
@@ -335,13 +329,13 @@ def cauchy_derivative(f, order: int, settings: CircleSettings,
 
         prev = None
         M = settings.nodes
-        for _level in range(settings.refine_limit + 1):
+        for _level in range(_CIRCLE_REFINE_LIMIT + 1):
             terms = []
             for j in range(M):
                 fv, w = node(j, M)
                 terms.append(fv * w ** (-order))
             val = fac / M * mp.fsum(terms)
-            step, done = _accept(val, prev, settings.abs_floor, rel)
+            step, done = _accept(val, prev, rel)
             if trace is not None:
                 trace.append({"M": M, "value": str(val), **step})
             if done:

@@ -19,7 +19,7 @@ Two evaluation surfaces coexist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpf, mpc
@@ -437,7 +437,6 @@ class DivisorTable:
 
     k: int
     counts: tuple[int, ...]                      # counts[n-1] = d_k(n)
-    sigma: dict = field(default_factory=dict)    # exponent -> tuple of sigma_a(n)
 
     def d(self, n: int) -> int:
         return self.counts[n - 1]
@@ -452,7 +451,7 @@ class DivisorTable:
         return "\n".join(lines) + "\n"
 
 
-def divisor_sieve(k: int, N: int, sigma_exponents=(), ctx: PrecisionContext | None = None) -> DivisorTable:
+def divisor_sieve(k: int, N: int) -> DivisorTable:
     if k < 1 or N < 1:
         raise DomainError("divisor_sieve requires k >= 1 and N >= 1")
     counts = [1] * (N + 1)
@@ -463,19 +462,7 @@ def divisor_sieve(k: int, N: int, sigma_exponents=(), ctx: PrecisionContext | No
             for n in range(d, N + 1, d):
                 nxt[n] += cd
         counts = nxt
-    sigma = {}
-    for a in sigma_exponents:
-        if ctx is None:
-            raise DomainError("sigma exponents require a precision context")
-        with ctx.scoped():
-            av = mpf(a)
-            vals = [mpf(0)] * (N + 1)
-            for d in range(1, N + 1):
-                da = mp.power(d, av)
-                for n in range(d, N + 1, d):
-                    vals[n] += da
-        sigma[a] = tuple(vals[1:])
-    return DivisorTable(k=k, counts=tuple(counts[1:]), sigma=sigma)
+    return DivisorTable(k=k, counts=tuple(counts[1:]))
 
 
 def sum_until_negligible(term, ctx: PrecisionContext, run: int, cap: int, what: str):

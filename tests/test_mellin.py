@@ -80,7 +80,7 @@ def test_cauchy_zeta_prime_at_zero(ctx50):
 def test_cauchy_detects_singularity_near_contour(ctx30):
     # a pole hugging the circle keeps successive estimates from agreeing
     with ctx30.scoped():
-        cs = mellin.circle_settings(ctx30, 1, radius=mpf(1) / 4)
+        cs = mellin.circle_settings(ctx30, 1)
         with pytest.raises(mellin.QuadratureError):
             mellin.cauchy_derivative(lambda s: 1 / (s - mpf("0.2499")), 1, cs, ctx30)
 
@@ -88,8 +88,6 @@ def test_cauchy_detects_singularity_near_contour(ctx30):
 def test_circle_settings_node_floor(ctx50):
     assert mellin.circle_settings(ctx50, 0).nodes == 64
     assert mellin.circle_settings(ctx50, 12).nodes == 104
-    with pytest.raises(special.DomainError):
-        mellin.circle_settings(ctx50, 12, nodes=32)
 
 
 # ---------------------------------------------------------------------------

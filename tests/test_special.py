@@ -253,11 +253,9 @@ def test_divisor_multiplicative_prime_powers():
         assert t4.d(p ** e) == math.comb(e + 3, 3)
 
 
-def test_divisor_csv_and_sigma(ctx30):
-    t = special.divisor_sieve(2, 6, sigma_exponents=(1,), ctx=ctx30)
+def test_divisor_csv():
+    t = special.divisor_sieve(2, 6)
     assert t.to_csv().splitlines()[0] == "n,d_2(n)"
-    with ctx30.scoped():
-        assert abs(t.sigma[1][5] - 12) < ctx30.tolerance()   # sigma_1(6) = 12
 
 
 # ---------------------------------------------------------------------------
