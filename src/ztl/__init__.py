@@ -6,8 +6,8 @@ from .hp import (HpComplex, HpReal, PrecisionContext, PrecisionError,
 from .special import (BernoulliTable, DivisorTable, DomainError, PoleError,
                       bernoulli, bessel_k0, bessel_k_half, divisor_sieve,
                       gamma, lambert_series, zeta)
-from .mellin import (CircleSettings, QuadratureError, QuadratureSettings,
-                     cauchy_derivative, line_integral, meijer_g_psi_kernel)
+from .mellin import (QuadratureError, QuadratureSettings, cauchy_derivative,
+                     line_integral, meijer_g_psi_kernel)
 from .psi import PsiRequest, PsiValue, SeriesRequest, SeriesValue, psi, series_L
 from .identities import (IdentityParams, VerificationReport, bernoulli_block,
                          derivative_term, verify, verify_dixit,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,6 +34,25 @@ MAX_ABS_WEIGHT = 15
 
 class UsageError(Exception):
     pass
+
+
+# flags whose value may be a comma list that starts with a minus sign
+_LIST_FLAGS = ("--k", "--m", "--theta")
+_NEGATIVE_LIST = re.compile(r"-\.?\d[\d.,eE+-]*")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a comma list that starts with a minus sign (``--m -2,1``) as the
+    value of its flag; plain argparse takes it for an unknown option."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        glued = []
+        for arg in sys.argv[1:] if args is None else args:
+            if glued and glued[-1] in _LIST_FLAGS and _NEGATIVE_LIST.fullmatch(arg):
+                glued[-1] += "=" + arg
+            else:
+                glued.append(arg)
+        return super().parse_known_args(glued, namespace)
 
 
 @dataclass
@@ -323,7 +343,7 @@ def _add_common(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ztl",
         description="High-precision verification of odd-zeta transformation identities")
     sub = ap.add_subparsers(dest="command", required=True)

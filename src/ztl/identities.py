@@ -205,8 +205,7 @@ def derivative_term(k: int, m: int, rho, ctx: PrecisionContext):
 
         if k == 1:
             return mpf(f(mpf(0)))
-        cs = mellin.circle_settings(ctx, k - 1)
-        val = mellin.cauchy_derivative(f, k - 1, cs, ctx) / mp.factorial(k - 1)
+        val = mellin.cauchy_derivative(f, k - 1, ctx) / mp.factorial(k - 1)
         return val.real
 
 
@@ -298,9 +297,8 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     with ctx.scoped():
         alpha, beta = alpha_beta(theta, ctx)
         z = special.zeta(2 * m + 1, ctx)
-        cs = mellin.circle_settings(ctx, 1, center=2 * m + 1)
         zp_over_z = mellin.cauchy_derivative(
-            lambda s: special.zeta(s, ctx), 1, cs, ctx).real / z
+            lambda s: special.zeta(s, ctx), 1, ctx, 2 * m + 1).real / z
 
         def bracket(r):
             # Omega_r(n) = 2 Psi_{(2r)^2, 2}(n), summed with weight n^-(2m+1)
@@ -365,8 +363,7 @@ def eta_derivative_term(k: int, theta, ctx: PrecisionContext):
                     * special.zeta(s, ctx) ** k * special.zeta(-s, ctx) ** k
                     * mp.cospi(s / 2) ** (2 * k - 1) * mp.exp(-kt * s))
 
-        cs = mellin.circle_settings(ctx, 2 * k - 1)
-        val = mellin.cauchy_derivative(g, 2 * k - 1, cs, ctx) / mp.factorial(2 * k - 1)
+        val = mellin.cauchy_derivative(g, 2 * k - 1, ctx) / mp.factorial(2 * k - 1)
         return val.real
 
 

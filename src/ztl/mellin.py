@@ -16,6 +16,11 @@ scale = max(|value|, 10^-5) <= C this gives the embedded estimate
 est = disc^2/scale, which can only over-state the error (Bailey, Jeyabalan &
 Li, Exp. Math. 14, 2005; mpmath's ``quadrature.estimate_error``).
 Refinement stops once est <= 10^-digits * scale.
+
+One driver, ``_refine``, runs the levels of both quadratures: it records
+every level's step, applies the stopping rule, registers the steps with the
+``--trace`` sink and raises ``QuadratureError`` carrying them.
+``line_integral`` and ``cauchy_derivative`` only compute a level's value.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from .hp import PrecisionContext
 from . import special
 
 __all__ = [
-    "QuadratureError", "QuadratureSettings", "CircleSettings",
-    "line_settings", "lambda_line_settings", "circle_settings",
+    "QuadratureError", "QuadratureSettings",
+    "line_settings", "lambda_line_settings",
     "VerticalProduct", "line_integral", "cauchy_derivative",
     "meijer_g_psi_kernel", "psi_kernel",
 ]
@@ -64,12 +69,11 @@ def trace_sink(enabled: bool):
 
 class QuadratureError(ArithmeticError):
     """Refinement limit exhausted before the embedded error estimate met the
-    tolerance."""
+    tolerance; ``trace`` holds the steps of every level."""
 
-    def __init__(self, message, trace=None, last_two=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace or []
-        self.last_two = last_two
 
 
 @dataclass(frozen=True)
@@ -83,16 +87,6 @@ class QuadratureSettings:
     h0: mpf
     T: mpf
     refine_limit: int = 10
-
-
-@dataclass(frozen=True)
-class CircleSettings:
-    """M-point trapezoid on a circle, M = nodes doubled at most 7 times; no
-    singularity may lie within radius."""
-
-    center: mpc
-    radius: mpf
-    nodes: int
 
 
 def _truncation_height(digits: int, poly_power: float) -> mpf:
@@ -121,23 +115,35 @@ def lambda_line_settings(ctx: PrecisionContext, lam, poly_power: float = 4.0) ->
                               T=_truncation_height(ctx.digits, poly_power))
 
 
-def circle_settings(ctx: PrecisionContext, order: int, center=0) -> CircleSettings:
-    """Radius 1/4 around ``center``, starting from max(64, 8(order+1)) nodes."""
-    return CircleSettings(center=mpc(center), radius=mpf(1) / 4,
-                          nodes=max(64, 8 * (order + 1)))
-
-
-def _accept(val, prev, rel):
-    """Trace fields for the level whose value is ``val`` and whether it is
-    accepted. disc = |val - prev| is the coarser level's error; squared and
-    divided by scale = max(|val|, _ABS_FLOOR) it bounds the error of ``val``
-    from above, since the trapezoid error squares when the nodes double."""
-    if prev is None:
-        return {"discrepancy": None, "estimate": None}, False
-    disc = abs(val - prev)
-    scale = max(_ABS_FLOOR, abs(val))
-    est = disc * disc / scale
-    return {"discrepancy": float(disc), "estimate": float(est)}, est <= rel * scale
+def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
+    """Run levels 0..limit of a node-doubling quadrature and return the
+    first accepted value (the stopping rule of the module docstring).
+    ``level(i, prev)`` gives level i's value and its step fields; ``prev`` is
+    the previous value or None. Every level appends a step to ``trace`` (a
+    fresh list when None), which the trace sink gets as well; the
+    QuadratureError raised when no level is accepted carries the steps."""
+    steps = [] if trace is None else trace
+    if _TRACE_SINK is not None:
+        _TRACE_SINK.append({"kind": kind, **head, "steps": steps})
+    prev = None
+    for i in range(limit + 1):
+        val, fields = level(i, prev)
+        step = {**fields, "value": str(val), "discrepancy": None, "estimate": None}
+        done = False
+        if prev is not None:
+            disc = abs(val - prev)
+            scale = max(_ABS_FLOOR, abs(val))
+            est = disc * disc / scale
+            step["discrepancy"], step["estimate"] = float(disc), float(est)
+            done = est <= rel * scale
+        steps.append(step)
+        if done:
+            return val
+        prev = val
+    hint = " (a singularity may lie inside the circle)" if kind == "circle" else ""
+    raise QuadratureError(
+        f"{kind} quadrature did not converge within {limit} refinements{hint}",
+        trace=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +220,13 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
     ``f`` is a callable of one complex argument or an object exposing
     ``eval_vertical(c, t0, dt, count)``. With ``conj_symmetric`` the lower
     half-line is folded onto the upper one and the result is real.
-    Raises QuadratureError when refine_limit is exhausted.
+    Level i has step h0/2^i and cap T (3/2)^i. Raises QuadratureError when
+    refine_limit is exhausted.
     """
     ev = f if hasattr(f, "eval_vertical") else _CallableOnLine(f)
-    if trace is None and _TRACE_SINK is not None:
-        trace = []
-        _TRACE_SINK.append({"kind": "line", "c": float(settings.c), "steps": trace})
     with ctx.scoped():
         c = settings.c
-        digits = ctx.digits
-        rel = mpf(10) ** (-digits)
+        rel = mpf(10) ** (-ctx.digits)
         memo: dict = {}
 
         def values(t0, dt, count):
@@ -271,11 +274,10 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
                 j += count
             return vals
 
-        prev = None
-        h = settings.h0
-        T = settings.T
-        f0 = values(mpf(0), h, 1)[0]
-        for _level in range(settings.refine_limit + 1):
+        def level(i, prev):
+            h = settings.h0 / 2 ** i
+            T = settings.T * (mpf(3) / 2) ** i
+            f0 = values(mpf(0), h, 1)[0]
             eps = rel * max(_ABS_FLOOR, abs(prev) if prev is not None else _ABS_FLOOR) / 10
             up = scan_side(h, T, eps, 1)
             if conj_symmetric:
@@ -283,37 +285,26 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
             else:
                 down = scan_side(h, T, eps, -1)
                 val = (h / (2 * mp.pi)) * (f0 + mp.fsum(up) + mp.fsum(down))
-            step, done = _accept(val, prev, rel)
-            if trace is not None:
-                trace.append({"h": float(h), "T": float(T), "value": str(val), **step})
-            if done:
-                return val
-            prev = val
-            h = h / 2
-            T = T * mpf(3) / 2
-        raise QuadratureError(
-            f"line integral did not converge within {settings.refine_limit} refinements "
-            f"(last two values {prev} after halving h to {h})",
-            trace=trace, last_two=(trace[-1]["value"] if trace else None, str(prev)))
+            return val, {"h": float(h), "T": float(T)}
+
+        return _refine("line", {"c": float(c)}, settings.refine_limit, rel, level, trace)
 
 
 # ---------------------------------------------------------------------------
 # Cauchy-circle derivative
 
-def cauchy_derivative(f, order: int, settings: CircleSettings,
-                      ctx: PrecisionContext, trace: list | None = None):
+def cauchy_derivative(f, order: int, ctx: PrecisionContext, center=0,
+                      trace: list | None = None):
     """f^(order)(center) = order!/(2 pi i) * contour integral of
-    f(s)/(s-center)^(order+1) over the circle, via an M-point trapezoid with
-    M doubled until the embedded estimate disc^2/scale of the finer value is
-    at most 10^-digits * scale (see the module docstring)."""
+    f(s)/(s-center)^(order+1) over the circle of radius 1/4, inside which f
+    must be analytic, via an M-point trapezoid from M = max(64, 8(order+1))
+    nodes, M doubled until the embedded estimate disc^2/scale of the finer
+    value is at most 10^-digits * scale (see the module docstring)."""
     if order < 0:
         raise special.DomainError("derivative order must be >= 0")
-    if trace is None and _TRACE_SINK is not None:
-        trace = []
-        _TRACE_SINK.append({"kind": "circle", "order": order, "steps": trace})
     with ctx.scoped():
-        a = settings.center
-        r = settings.radius
+        a = mpc(center)
+        r = mpf(1) / 4
         rel = mpf(10) ** (-ctx.digits)
         fac = mp.factorial(order) / r ** order
         memo: dict = {}
@@ -327,25 +318,15 @@ def cauchy_derivative(f, order: int, settings: CircleSettings,
                 memo[key] = v
             return v
 
-        prev = None
-        M = settings.nodes
-        for _level in range(_CIRCLE_REFINE_LIMIT + 1):
+        def level(i, prev):
+            M = max(64, 8 * (order + 1)) << i
             terms = []
             for j in range(M):
                 fv, w = node(j, M)
                 terms.append(fv * w ** (-order))
-            val = fac / M * mp.fsum(terms)
-            step, done = _accept(val, prev, rel)
-            if trace is not None:
-                trace.append({"M": M, "value": str(val), **step})
-            if done:
-                return val
-            prev = val
-            M *= 2
-        raise QuadratureError(
-            f"circle derivative did not converge by M={M} "
-            "(a singularity may lie inside the circle)",
-            trace=trace)
+            return fac / M * mp.fsum(terms), {"M": M}
+
+        return _refine("circle", {"order": order}, _CIRCLE_REFINE_LIMIT, rel, level, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -150,21 +150,14 @@ def _chi(s: mpc, prec: int) -> mpc:
     return 2 ** s * mp.pi ** (s - 1) * mp.sinpi(s / 2) * _gamma_memoized(1 - s, prec)
 
 
-def _zeta_em(s: mpc, prec: int) -> mpc:
-    """Euler-Maclaurin zeta; requires Re(s) >= 1/2, s != 1."""
-    return _zeta_em_run(s.real, s.imag, None, 1, prec)[0]
-
-
 def _zeta_raw(s: mpc, prec: int) -> mpc:
     if s == 1:
         raise PoleError("zeta pole at s=1")
     if s == 0:
         return mpc(-0.5)
-    if s.real >= mpf(1) / 2:
-        return _zeta_em(s, prec)
-    if s.imag == 0 and s.real == int(s.real) and int(s.real) % 2 == 0:
+    if s.real < 0 and s.imag == 0 and s.real == int(s.real) and int(s.real) % 2 == 0:
         return mpc(0)   # trivial zeros
-    return _chi(s, prec) * _zeta_em(1 - s, prec)
+    return _zeta_run_chunk(s.real, s.imag, mpf(0), 1, prec)[0]
 
 
 def zeta(s, ctx: PrecisionContext):
@@ -286,7 +279,7 @@ def _powers_fixed(N: int, x: int, y: int, W: int) -> tuple[list[int], list[int]]
     return re, im
 
 
-def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf | None, count: int, prec: int) -> list:
+def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
     """Euler-Maclaurin zeta at sigma + i(t0 + u*dt), u < count; requires
     sigma >= 1/2. A 1-node call (dt unused) is the scalar evaluator."""
     tmax = abs(t0) if count == 1 else max(abs(t0), abs(t0 + (count - 1) * dt))

@@ -171,8 +171,7 @@ def test_criterion_9_special_function_suites(ctx50):
         "special.zeta_functional_equation", "special.euler_even_zeta")]
     props_ok = all(passed for _, passed, _ in results)
     with ctx50.scoped():
-        cs = mellin.circle_settings(ctx50, 1)
-        zp = mellin.cauchy_derivative(lambda s: special.zeta(s, ctx50), 1, cs, ctx50)
+        zp = mellin.cauchy_derivative(lambda s: special.zeta(s, ctx50), 1, ctx50)
         zres = abs(zp + mp.log(2 * mp.pi) / 2)
         zp_ok = zres < mpf(10) ** -45
     ok = props_ok and zp_ok

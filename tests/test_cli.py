@@ -157,6 +157,36 @@ def test_sweep_trace_output(tmp_path, capsys):
         assert traced.read_bytes() == plain.read_bytes()
 
 
+def test_psi_trace_output(capsys):
+    # psi's inverse-Mellin line passes its own step list; the sink gets it too
+    assert run(["psi", "--k", "3", "--rho", "2", "--x", "1", "--digits", "15",
+                "--trace"]) == 0
+    out = capsys.readouterr().out
+    traces = json.loads(out[out.index("\n[") + 1:])
+    assert [t["kind"] for t in traces] == ["line"]
+    assert len(traces[0]["steps"]) >= 2
+
+
+def test_circle_failure_prints_trace_tail_without_trace_flag(monkeypatch, capsys):
+    monkeypatch.setattr(mellin, "_CIRCLE_REFINE_LIMIT", 0)
+    assert run(["verify", "main", "--k", "2", "--digits", "15"]) == 3
+    err = capsys.readouterr().err
+    assert "singularity may lie inside the circle" in err
+    assert '"M": 64' in err
+
+
+def test_sweep_lists_may_start_with_minus_sign():
+    args = cli.build_parser().parse_args(
+        ["sweep", "--identity", "main", "--k", "1,2", "--m", "-2,-1,1,2",
+         "--theta", "-0.3,0.5"])
+    cfg = cli._build_config(args)
+    assert cfg.m_list == [-2, -1, 1, 2]
+    assert cfg.theta_list == ["-0.3", "0.5"]
+    assert cfg.k_list == [1, 2]
+    args = cli.build_parser().parse_args(["verify", "main", "--m", "-2", "--theta", "-0.3"])
+    assert (args.m, args.theta) == (-2, "-0.3")
+
+
 def test_sweep_trace_sink_removed_after_failing_cell(monkeypatch, capsys):
     sinks = []
 

@@ -40,31 +40,31 @@ def test_non_convergence_raises_with_last_values(ctx50):
         f = lambda s: special.gamma(s, ctx50) * mpf(2) ** (-s)
         st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 2, T=mpf(40),
                                        refine_limit=1)
-        tr = []
         with pytest.raises(mellin.QuadratureError) as exc:
-            mellin.line_integral(f, st, ctx50, conj_symmetric=True, trace=tr)
-        assert exc.value.last_two is not None
+            mellin.line_integral(f, st, ctx50, conj_symmetric=True)
+        # with no trace list passed and no sink installed, the error still
+        # carries every level
+        steps = exc.value.trace
+        assert [t["h"] for t in steps] == [0.5, 0.25]
+        assert all(mpf(t["value"]) > 0 for t in steps)
 
 
 def test_cauchy_polynomial(ctx50):
     with ctx50.scoped():
-        cs = mellin.circle_settings(ctx50, 3)
-        v = mellin.cauchy_derivative(lambda s: s ** 3, 3, cs, ctx50)
+        v = mellin.cauchy_derivative(lambda s: s ** 3, 3, ctx50)
         assert abs(v - 6) < ctx50.tolerance(2)
 
 
 def test_cauchy_exponential(ctx50):
     with ctx50.scoped():
-        cs = mellin.circle_settings(ctx50, 4)
-        v = mellin.cauchy_derivative(lambda s: mp.exp(2 * s), 4, cs, ctx50)
+        v = mellin.cauchy_derivative(lambda s: mp.exp(2 * s), 4, ctx50)
         assert abs(v - 16) < ctx50.tolerance(2)
 
 
 def test_cauchy_zeta_prime_at_zero(ctx50):
     # zeta'(0) = -(1/2) log(2 pi); also checked by a finite-difference oracle
     with ctx50.scoped():
-        cs = mellin.circle_settings(ctx50, 1)
-        v = mellin.cauchy_derivative(lambda s: special.zeta(s, ctx50), 1, cs, ctx50)
+        v = mellin.cauchy_derivative(lambda s: special.zeta(s, ctx50), 1, ctx50)
         assert abs(v + mp.log(2 * mp.pi) / 2) < mpf(10) ** -45
 
     wide = hp.with_precision(70)
@@ -80,14 +80,18 @@ def test_cauchy_zeta_prime_at_zero(ctx50):
 def test_cauchy_detects_singularity_near_contour(ctx30):
     # a pole hugging the circle keeps successive estimates from agreeing
     with ctx30.scoped():
-        cs = mellin.circle_settings(ctx30, 1)
-        with pytest.raises(mellin.QuadratureError):
-            mellin.cauchy_derivative(lambda s: 1 / (s - mpf("0.2499")), 1, cs, ctx30)
+        with pytest.raises(mellin.QuadratureError) as exc:
+            mellin.cauchy_derivative(lambda s: 1 / (s - mpf("0.2499")), 1, ctx30)
+        assert "singularity may lie inside the circle" in str(exc.value)
 
 
-def test_circle_settings_node_floor(ctx50):
-    assert mellin.circle_settings(ctx50, 0).nodes == 64
-    assert mellin.circle_settings(ctx50, 12).nodes == 104
+def test_circle_first_level_node_floor(ctx50):
+    # the first level has max(64, 8(order+1)) nodes
+    with ctx50.scoped():
+        for order, nodes in ((0, 64), (12, 104)):
+            tr = []
+            mellin.cauchy_derivative(mp.exp, order, ctx50, trace=tr)
+            assert tr[0]["M"] == nodes
 
 
 # ---------------------------------------------------------------------------
