@@ -29,6 +29,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp, mpf, mpc
 
@@ -164,8 +165,15 @@ class VerticalProduct:
     """prod_i zeta(a_i + eps_i s)^{k_i} * Gamma(s)^g * cos(pi s/2)^p * base^{-s}
     evaluated on equispaced nodes of a vertical line.
 
-    Zeta factors ride the memoized vertical-run evaluator; Gamma nodes hit the
-    scalar memo; cos and base^{-s} advance by one multiplication per node.
+    The base-free product P (zeta powers, Gamma^g, cos^p) is the same for
+    every base: for the alpha and beta sides of an identity, every theta of
+    a scan, every psi kernel of a term sum. It is memoized per node in
+    ``special._PRODUCT_MEMO`` under the line key (zeta factors, g, p, c,
+    precision). Missing nodes are computed in maximal equispaced runs: zeta
+    factors ride the memoized vertical-run evaluator, Gamma nodes hit the
+    scalar memo, cos advances by one multiplication per node. base^{-s}
+    advances by one multiplication per node on top of P, so a known node
+    costs one multiply.
     """
 
     def __init__(self, ctx, zeta_factors=(), gamma_power=0, cos_power=0,
@@ -180,30 +188,11 @@ class VerticalProduct:
     def eval_vertical(self, c, t0, dt, count):
         ctx = self.ctx
         with ctx.scoped():
-            vals = [mpc(1)] * count
-            for (a, eps, power) in self.zeta_factors:
-                run = special.zeta_vertical_run(a + eps * c, eps * t0, eps * dt,
-                                                count, ctx)
-                for u in range(count):
-                    vals[u] *= run[u] ** power
-            if self.gamma_power:
-                g = self.gamma_power
-                for u in range(count):
-                    s = mpc(c, t0 + u * dt)
-                    vals[u] *= special.gamma(s, ctx) ** g
-            if self.cos_power:
-                # cos(pi s/2) = cos(pi c/2) cosh(pi t/2) - i sin(pi c/2) sinh(pi t/2)
-                p = self.cos_power
-                cc = mp.cospi(c / 2)
-                ss = mp.sinpi(c / 2)
-                e = mp.exp(mp.pi * t0 / 2)
-                estep = mp.exp(mp.pi * dt / 2)
-                half = mpf(1) / 2
-                for u in range(count):
-                    ei = 1 / e
-                    cosv = mpc(cc * (e + ei) * half, -ss * (e - ei) * half)
-                    vals[u] *= cosv ** p if p > 0 else 1 / cosv
-                    e = e * estep
+            c = mpf(c)
+            line = (self.zeta_factors, self.gamma_power, self.cos_power, c._mpf_,
+                    ctx.prec_bits)
+            memo = special._PRODUCT_MEMO.setdefault(line, {})
+            vals = _memoized_nodes(memo, partial(self._product_run, c), t0, dt, count)
             if self.ln_base != 0:
                 zp = mp.exp(-mpc(c, t0) * self.ln_base)
                 zstep = mp.exp(-mpc(0, dt) * self.ln_base)
@@ -211,6 +200,54 @@ class VerticalProduct:
                     vals[u] *= zp
                     zp = zp * zstep
             return vals
+
+    def _product_run(self, c, t0, dt, count):
+        """P at c + i(t0 + u dt), u < count."""
+        vals = [mpc(1)] * count
+        for (a, eps, power) in self.zeta_factors:
+            run = special.zeta_vertical_run(a + eps * c, eps * t0, eps * dt,
+                                            count, self.ctx)
+            for u in range(count):
+                vals[u] *= run[u] ** power
+        if self.gamma_power:
+            g = self.gamma_power
+            for u in range(count):
+                s = mpc(c, t0 + u * dt)
+                vals[u] *= special.gamma(s, self.ctx) ** g
+        if self.cos_power:
+            # cos(pi s/2) = cos(pi c/2) cosh(pi t/2) - i sin(pi c/2) sinh(pi t/2)
+            p = self.cos_power
+            cc = mp.cospi(c / 2)
+            ss = mp.sinpi(c / 2)
+            e = mp.exp(mp.pi * t0 / 2)
+            estep = mp.exp(mp.pi * dt / 2)
+            half = mpf(1) / 2
+            for u in range(count):
+                ei = 1 / e
+                cosv = mpc(cc * (e + ei) * half, -ss * (e - ei) * half)
+                vals[u] *= cosv ** p if p > 0 else 1 / cosv ** -p
+                e = e * estep
+        return vals
+
+
+def _memoized_nodes(memo: dict, run, t0, dt, count) -> list:
+    """[value at t0 + u dt for u < count] through ``memo`` (t -> value).
+    Missing nodes are computed by ``run(t, dt', n)`` in maximal equispaced
+    runs, since refinement levels leave stride-2 gaps between known nodes,
+    and stored."""
+    out = [memo.get((t0 + u * dt)._mpf_) for u in range(count)]
+    miss = [u for u, v in enumerate(out) if v is None]
+    i = 0
+    while i < len(miss):
+        stride = miss[i + 1] - miss[i] if i + 1 < len(miss) else 1
+        j = i + 1
+        while j < len(miss) and miss[j] - miss[j - 1] == stride:
+            j += 1
+        vs = run(t0 + miss[i] * dt, stride * dt, j - i)
+        for u, v in zip(miss[i:j], vs):
+            memo[(t0 + u * dt)._mpf_] = out[u] = v
+        i = j
+    return out
 
 
 def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
@@ -230,30 +267,7 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
         memo: dict = {}
 
         def values(t0, dt, count):
-            out = [None] * count
-            miss = []
-            for u in range(count):
-                v = memo.get((t0 + u * dt)._mpf_)
-                if v is None:
-                    miss.append(u)
-                else:
-                    out[u] = v
-            # evaluate missing nodes in maximal equispaced runs; refinement
-            # levels leave stride-2 gaps between already-known nodes
-            i = 0
-            while i < len(miss):
-                stride = miss[i + 1] - miss[i] if i + 1 < len(miss) else 1
-                j = i + 1
-                while j < len(miss) and miss[j] - miss[j - 1] == stride:
-                    j += 1
-                n_run = j - i
-                vs = ev.eval_vertical(c, t0 + miss[i] * dt, stride * dt, n_run)
-                for idx, v in zip(range(i, j), vs):
-                    u = miss[idx]
-                    memo[(t0 + u * dt)._mpf_] = v
-                    out[u] = v
-                i = j
-            return out
+            return _memoized_nodes(memo, partial(ev.eval_vertical, c), t0, dt, count)
 
         def scan_side(h, T, eps, sign):
             vals = []

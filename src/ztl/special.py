@@ -14,6 +14,11 @@ Two evaluation surfaces coexist:
   Dirichlet powers n^{-s} advance by one fixed-point complex multiplication
   (four integer multiplies) per node. The quadrature engine spends nearly
   all its time here. The scalar zeta is the same kernel on one node.
+
+Every evaluation is memoized per node: Gamma and scalar zeta per point,
+``zeta_vertical_run`` per (abscissa, t), and ``_PRODUCT_MEMO`` holds the
+base-free products of ``mellin.VerticalProduct``, one dict of nodes per
+line. ``clear_caches`` empties all four.
 """
 
 from __future__ import annotations
@@ -182,6 +187,10 @@ def zeta(s, ctx: PrecisionContext):
 
 _ZLINE_MEMO: dict = {}
 _RUN_CHUNK = 96
+
+# (zeta factors, Gamma power, cos power, c, prec) -> {t: product at c + it};
+# filled by mellin.VerticalProduct
+_PRODUCT_MEMO: dict = {}
 
 
 def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
@@ -514,7 +523,9 @@ def lambert_series_sigma_form(a, y, ctx: PrecisionContext):
 
 
 def clear_caches() -> None:
-    """Drop memoized special-function values (constants tables persist)."""
+    """Drop memoized values: Gamma, scalar zeta, zeta-line nodes and the
+    vertical-line products built from them (constants tables persist)."""
     _GAMMA_MEMO.clear()
     _ZETA_MEMO.clear()
     _ZLINE_MEMO.clear()
+    _PRODUCT_MEMO.clear()

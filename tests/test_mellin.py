@@ -1,7 +1,7 @@
 """Quadrature engine: line integrals, circle derivatives, kernel reductions."""
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from ztl import hp, mellin, special
 
@@ -92,6 +92,17 @@ def test_circle_first_level_node_floor(ctx50):
             tr = []
             mellin.cauchy_derivative(mp.exp, order, ctx50, trace=tr)
             assert tr[0]["M"] == nodes
+
+
+@pytest.mark.parametrize("p", [-2, -1, 1, 2])
+def test_vertical_product_cos_powers(ctx50, p):
+    # the stepped cos(pi s/2)^p against mpmath's, every sign of the power
+    with ctx50.scoped():
+        c, t0, dt = mpf(7) / 2, mpf(-3), mpf(3) / 4
+        vals = mellin.VerticalProduct(ctx50, cos_power=p).eval_vertical(c, t0, dt, 12)
+        for u, v in enumerate(vals):
+            ref = mp.cospi(mpc(c, t0 + u * dt) / 2) ** p
+            assert abs(v - ref) <= ctx50.tolerance() * abs(ref)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from ztl import mellin, special
+from ztl import mellin, special, with_precision
 from ztl.psi import PsiRequest, SeriesRequest, VerticalProduct, psi, series_L
 
 
@@ -165,3 +165,60 @@ def test_fold_agrees_at_shifted_abscissa(ctx50, k, m, rho):
             vals.append(mellin.line_integral(f, st, ctx50, conj_symmetric=True))
         assert vals[0] == series_L(SeriesRequest(rho=mpf(rho), k=k, m=m), ctx50).value
         assert abs(vals[0] - vals[1]) <= mpf("1e-45") * abs(vals[0])
+
+
+# ---------------------------------------------------------------------------
+# the base-free product memo of VerticalProduct
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (3, -1)])
+def test_fold_on_a_warm_line_equals_cold(ctx50, k, m):
+    # a fresh rho on a line that three other rho filled reuses their
+    # products and adds the nodes its longer scan needs; it must give the
+    # value of a cold run
+    def fold(rho):
+        return series_L(SeriesRequest(rho=mpf(rho), k=k, m=m), ctx50).value
+
+    def nodes():
+        return sum(len(line) for line in special._PRODUCT_MEMO.values())
+
+    special.clear_caches()
+    for rho in (30000, 3000, 10000):
+        fold(rho)
+    known = nodes()
+    warm = fold("0.05")
+    assert 0 < known < nodes()
+    special.clear_caches()
+    cold = fold("0.05")
+    with ctx50.scoped():
+        assert abs(warm - cold) <= mpf("1e-60") * abs(cold)
+
+
+def _gamma_cos_nodes(g, ctx):
+    with ctx.scoped():
+        f = VerticalProduct(ctx, gamma_power=g, cos_power=1)
+        return f.eval_vertical(mpf(5) / 2, mpf(0), mpf(1) / 8, 16)
+
+
+@pytest.mark.parametrize("first,second", [
+    (lambda: mellin.psi_kernel(1, mpf(3), with_precision(50)),
+     lambda: mellin.psi_kernel(2, mpf(3), with_precision(50))),
+    (lambda: series_L(SeriesRequest(rho=mpf(5), k=2, m=1), with_precision(30)).value,
+     lambda: series_L(SeriesRequest(rho=mpf(5), k=2, m=1), with_precision(50)).value),
+    (lambda: _gamma_cos_nodes(1, with_precision(50)),
+     lambda: _gamma_cos_nodes(2, with_precision(50))),
+], ids=["psi-kernel-k", "fold-digits", "gamma-power"])
+def test_product_memo_separates_lines(first, second):
+    # lines that differ in one key field must not share products
+    special.clear_caches()
+    cold = second()
+    special.clear_caches()
+    first()
+    assert second() == cold
+
+
+def test_clear_caches_empties_product_memo(ctx30):
+    mellin.psi_kernel(2, mpf(3), ctx30)
+    assert special._PRODUCT_MEMO
+    special.clear_caches()
+    assert not special._PRODUCT_MEMO
