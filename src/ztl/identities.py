@@ -184,29 +184,56 @@ def _report(identity, k, m, theta, ctx, lhs, rhs, t0) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # building blocks
 
+def _top_coefficient(jet: list, x):
+    """The last Taylor coefficient of jet(s) exp(x s): a dot product with
+    the jet x^r / r! of exp(x s)."""
+    n = len(jet)
+    e = special.series_exp([mpf(0), x] + [mpf(0)] * (n - 2))
+    return mp.fsum(jet[r] * e[n - 1 - r] for r in range(n))
+
+
+def _cos_jet(n: int) -> list:
+    """Taylor coefficients of cos(pi s/2), r < n; the odd ones are exact zeros."""
+    return [(-1) ** (r // 2) * (mp.pi / 2) ** r / mp.factorial(r) if r % 2 == 0 else mpf(0)
+            for r in range(n)]
+
+
+def _gamma_zeta_jet(k: int, n: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients of Gamma^k(1+s) zeta^k(s), r < n."""
+    return special.series_mul(
+        special.series_exp([k * c for c in special.log_gamma1_jet(n, ctx)]),
+        special.series_pow(special.zeta_jet(0, n, ctx), k))
+
+
+def _derivative_jet(k: int, m: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients 0..k-1 of the rho-free product
+    zeta^k(2m+1+s) zeta^k(s) Gamma^k(1+s) cos^{k-1}(pi s/2), memoized per
+    (k, m, precision) in special._JET_MEMO."""
+    key = ("derivative", k, m, ctx.prec_bits)
+    jet = special._JET_MEMO.get(key)
+    if jet is None:
+        with ctx.scoped():
+            jet = special.series_mul(
+                special.series_mul(special.series_pow(special.zeta_jet(2 * m + 1, k, ctx), k),
+                                   _gamma_zeta_jet(k, k, ctx)),
+                special.series_pow(_cos_jet(k), k - 1))
+        special._JET_MEMO[key] = jet
+    return jet
+
+
 def derivative_term(k: int, m: int, rho, ctx: PrecisionContext):
     """(1/(k-1)!) d^{k-1}/ds^{k-1} of
     zeta^k(2m+1+s) zeta^k(s) Gamma^k(s+1) cos^{k-1}(pi s/2) rho^{-s}  at s=0,
-    with rho the same argument handed to the weighted series."""
+    with rho the same argument handed to the weighted series: the
+    (k-1)-th Taylor coefficient, a k-term dot product of the memoized
+    rho-free jet with the jet of exp(-s ln rho)."""
     if m == 0:
         raise special.DomainError("m must be nonzero (s=0 would sit on a pole)")
     with ctx.scoped():
         rho = mpf(rho)
         if not rho > 0:
             raise special.DomainError("rho must be positive")
-        lnr = mp.log(rho)
-
-        def f(s):
-            v = (special.zeta(2 * m + 1 + s, ctx) ** k * special.zeta(s, ctx) ** k
-                 * special.gamma(s + 1, ctx) ** k * mp.exp(-s * lnr))
-            if k > 1:
-                v *= mp.cospi(s / 2) ** (k - 1)
-            return v
-
-        if k == 1:
-            return mpf(f(mpf(0)))
-        val = mellin.cauchy_derivative(f, k - 1, ctx) / mp.factorial(k - 1)
-        return val.real
+        return _top_coefficient(_derivative_jet(k, m, ctx), -mp.log(rho))
 
 
 def bernoulli_block_coeffs(k: int, m: int) -> list[Fraction]:
@@ -290,15 +317,15 @@ def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> Verifica
 def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """The squared-zeta transformation, evaluated literally: Bessel-pair sums
     for the Koshliakov function (leading factor 2), digamma-free log
-    derivative of zeta from the circle operator, Euler's constant from the
+    derivative of zeta from its Taylor jet, Euler's constant from the
     constants table."""
     check_params("dixit", 2, m)
     t0 = time.perf_counter()
     with ctx.scoped():
         alpha, beta = alpha_beta(theta, ctx)
         z = special.zeta(2 * m + 1, ctx)
-        zp_over_z = mellin.cauchy_derivative(
-            lambda s: special.zeta(s, ctx), 1, ctx, 2 * m + 1).real / z
+        zj = special.zeta_jet(2 * m + 1, 2, ctx)
+        zp_over_z = zj[1] / zj[0]
 
         def bracket(r):
             # Omega_r(n) = 2 Psi_{(2r)^2, 2}(n), summed with weight n^-(2m+1)
@@ -351,20 +378,34 @@ def verify_quasimodular(k: int, theta, ctx: PrecisionContext) -> VerificationRep
     return _report("quasimodular", k, None, theta, ctx, lhs, rhs, t0)
 
 
+def _eta_jet(k: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients 0..2k-1 of the theta-free, even product
+    g(s) = f(s) f(-s) cos^{2k-1}(pi s/2), f = Gamma^k(1+s) zeta^k(s),
+    assembled from even coefficients alone with exact zeros in the odd
+    places; memoized per (k, precision) in special._JET_MEMO."""
+    key = ("eta", k, ctx.prec_bits)
+    jet = special._JET_MEMO.get(key)
+    if jet is None:
+        n = 2 * k
+        with ctx.scoped():
+            f = _gamma_zeta_jet(k, n, ctx)
+            # coefficient r of f(s) f(-s) is sum_i (-1)^i f_i f_{r-i}
+            ff = [mp.fsum((-1) ** i * f[i] * f[r - i] for i in range(r + 1)) if r % 2 == 0
+                  else mpf(0) for r in range(n)]
+            jet = special.series_mul(ff, special.series_pow(_cos_jet(n), 2 * k - 1))
+        special._JET_MEMO[key] = jet
+    return jet
+
+
 def eta_derivative_term(k: int, theta, ctx: PrecisionContext):
     """(1/(2k-1)!) d^{2k-1}/ds^{2k-1} of
     Gamma^k(1+s) Gamma^k(1-s) zeta^k(s) zeta^k(-s) cos^{2k-1}(pi s/2) e^{-k theta s}
-    at s=0 (the ratio power (alpha/beta)^{-ks/2} equals e^{-k theta s})."""
+    at s=0 (the ratio power (alpha/beta)^{-ks/2} equals e^{-k theta s}): the
+    (2k-1)-th Taylor coefficient of the memoized theta-free jet times the
+    jet of e^{-k theta s}. At theta = 0 that jet is 1, 0, ..., 0 and the
+    theta-free jet is even, so the term is exactly 0."""
     with ctx.scoped():
-        kt = k * mpf(theta)
-
-        def g(s):
-            return (special.gamma(1 + s, ctx) ** k * special.gamma(1 - s, ctx) ** k
-                    * special.zeta(s, ctx) ** k * special.zeta(-s, ctx) ** k
-                    * mp.cospi(s / 2) ** (2 * k - 1) * mp.exp(-kt * s))
-
-        val = mellin.cauchy_derivative(g, 2 * k - 1, ctx) / mp.factorial(2 * k - 1)
-        return val.real
+        return _top_coefficient(_eta_jet(k, ctx), -k * mpf(theta))
 
 
 def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:

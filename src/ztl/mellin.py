@@ -1,6 +1,7 @@
 """Vertical-line Mellin-Barnes quadrature, the one vertical-line integrand
 ``VerticalProduct`` that every line integral of the package builds, and the
-Cauchy-circle derivative operator.
+Cauchy-circle derivative operator (the independent route that the Taylor-jet
+residue terms of ``identities`` are checked against).
 
 Both quadratures use the plain trapezoid rule, which is spectrally accurate
 for analytic integrands that decay exponentially (line) or are periodic
@@ -270,6 +271,11 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
             return _memoized_nodes(memo, partial(ev.eval_vertical, c), t0, dt, count)
 
         def scan_side(h, T, eps, sign):
+            # |v| >= max(|Re v|, |Im v|), so a node with a part beyond
+            # `big` is not below eps whatever abs(v) rounds to, and its
+            # square root is skipped; the margin covers that rounding
+            big = eps * (1 + mpf(2) ** (4 - mp.prec))
+            nbig = -big
             vals = []
             consec = 0
             j = 1
@@ -279,7 +285,9 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
                 vs = values(sign * j * h, sign * h, count)
                 for i, v in enumerate(vs):
                     vals.append(v)
-                    if abs(v) < eps and (j + i) * h > 5:
+                    re, im = v.real, v.imag
+                    if (nbig < re < big and nbig < im < big and abs(v) < eps
+                            and (j + i) * h > 5):
                         consec += 1
                         if consec >= 5:
                             return vals

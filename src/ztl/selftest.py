@@ -290,6 +290,51 @@ def check_theta_reflection_duality(ctx):
         return res < tol, f"bracket relation residual {mp.nstr(res, 3)}"
 
 
+def check_jets_match_circles(ctx):
+    """The Taylor-jet residue terms against Cauchy circles of the same
+    functions: derivative_term (k <= 4, m = +-1, +-2), eta_derivative_term
+    (k <= 4), each at rho = (2 alpha)^k, theta in {0, 0.3, 1}, and Dixit's
+    zeta'/zeta(2m+1) (m = +-1). Relative gap below 10^-(digits-5); at
+    theta = 0 the eta jet must be exactly 0 and the circle below the bound."""
+    tol = ctx.tolerance(5)
+    thetas = [mpf(0), mpf(3) / 10, mpf(1)]
+    with ctx.scoped():
+        gaps = []
+
+        def circle(f, order):
+            return mellin.cauchy_derivative(f, order, ctx).real / mp.factorial(order)
+
+        for k in range(1, 5):
+            for th in thetas:
+                lnr = k * mp.log(2 * identities.alpha_beta(th, ctx)[0])
+                for m in (-2, -1, 1, 2):
+                    f = (lambda s, k=k, m=m, lnr=lnr:
+                         special.zeta(2 * m + 1 + s, ctx) ** k * special.zeta(s, ctx) ** k
+                         * special.gamma(1 + s, ctx) ** k * mp.cospi(s / 2) ** (k - 1)
+                         * mp.exp(-s * lnr))
+                    a = identities.derivative_term(k, m, mp.exp(lnr), ctx)
+                    b = circle(f, k - 1)
+                    gaps.append(abs(a - b) / abs(b))
+                g = (lambda s, k=k, th=th:
+                     (special.gamma(1 + s, ctx) * special.gamma(1 - s, ctx)
+                      * special.zeta(s, ctx) * special.zeta(-s, ctx)) ** k
+                     * mp.cospi(s / 2) ** (2 * k - 1) * mp.exp(-k * th * s))
+                a = identities.eta_derivative_term(k, th, ctx)
+                b = circle(g, 2 * k - 1)
+                if th == 0:
+                    if a != 0:
+                        return False, f"eta k={k} theta=0 jet is {mp.nstr(a, 3)}, not 0"
+                    gaps.append(abs(b))
+                else:
+                    gaps.append(abs(a - b) / abs(b))
+        for m in (-1, 1):
+            zj = special.zeta_jet(2 * m + 1, 2, ctx)
+            b = circle(lambda s: special.zeta(2 * m + 1 + s, ctx), 1) / special.zeta(2 * m + 1, ctx)
+            gaps.append(abs(zj[1] / zj[0] - b) / abs(b))
+        worst = max(gaps)
+        return worst < tol, f"{len(gaps)} terms, worst relative gap {mp.nstr(worst, 3)}"
+
+
 def check_reindex_exact(ctx):
     for (k, m) in [(1, 1), (2, 1), (3, 2), (2, 3), (2, 4)]:
         coeffs = identities.bernoulli_block_coeffs(k, m)
@@ -337,6 +382,7 @@ CHECKS = [
     ("psi", "scaling_symmetry", check_psi_scaling),
     ("psi", "series_tail", check_series_tail),
     ("identities", "theta_reflection_duality", check_theta_reflection_duality),
+    ("identities", "jets_match_circles", check_jets_match_circles),
     ("identities", "reindex_exact", check_reindex_exact),
     ("identities", "lerch_value", check_lerch_value),
     ("identities", "residue_assembly", check_residue_assembly),

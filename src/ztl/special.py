@@ -6,19 +6,22 @@ numbers, modified Bessel K0 / K_{1/2}, the Piltz divisor sieve, Lambert
 series, and ``sum_until_negligible``, the one adaptive truncation rule that
 every slowly decaying series of the package stops by.
 
-Two evaluation surfaces coexist:
+Three evaluation surfaces coexist:
 
-* scalar ``gamma``/``zeta`` for arbitrary points (memoized, used for
-  Cauchy-circle nodes and direct calls);
+* scalar ``gamma``/``zeta`` for arbitrary points (memoized, used for direct
+  calls and Cauchy-circle nodes);
 * ``zeta_vertical_run`` for equispaced nodes on a vertical line, where the
   Dirichlet powers n^{-s} advance by one fixed-point complex multiplication
   (four integer multiplies) per node. The quadrature engine spends nearly
   all its time here. The scalar zeta is the same kernel on one node.
+* Taylor jets at s = 0 (``zeta_jet``, ``log_gamma1_jet`` and the
+  ``series_*`` helpers), from which the identities' residue terms are read.
 
 Every evaluation is memoized per node: Gamma and scalar zeta per point,
 ``zeta_vertical_run`` per (abscissa, t), and ``_PRODUCT_MEMO`` holds the
 base-free products of ``mellin.VerticalProduct``, one dict of nodes per
-line. ``clear_caches`` empties all four.
+line. ``_JET_MEMO`` holds the rho-free residue jets. ``clear_caches``
+empties all five.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ __all__ = [
     "PoleError", "DomainError", "BernoulliTable", "DivisorTable",
     "bernoulli", "gamma", "zeta", "bessel_k0", "bessel_k_half",
     "divisor_sieve", "sum_until_negligible", "lambert_series",
-    "zeta_vertical_run", "clear_caches",
+    "zeta_vertical_run", "zeta_jet", "log_gamma1_jet", "series_mul",
+    "series_pow", "series_exp", "clear_caches",
 ]
 
 
@@ -175,6 +179,51 @@ def zeta(s, ctx: PrecisionContext):
             v = _zeta_raw(s, ctx.prec_bits)
             _ZETA_MEMO[key] = v
         return v.real if s.imag == 0 else v
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets: truncated power series [c_0, ..., c_{n-1}] at s = 0, the
+# residue terms of the identities. Call inside the caller's precision scope.
+
+# ("derivative", k, m, prec) or ("eta", k, prec) -> rho-free jet; filled by
+# the identities' residue terms
+_JET_MEMO: dict = {}
+
+
+def series_mul(a: list, b: list) -> list:
+    """Product of two jets of one length, truncated to that length."""
+    return [mp.fsum(a[i] * b[r - i] for i in range(r + 1)) for r in range(len(a))]
+
+
+def series_pow(a: list, p: int) -> list:
+    """a^p for an integer p >= 0."""
+    out = [mpf(1)] + [mpf(0)] * (len(a) - 1)
+    for _ in range(p):
+        out = series_mul(out, a)
+    return out
+
+
+def series_exp(a: list) -> list:
+    """exp(a), from b' = a'b: b_r = (1/r) sum_{j=1}^{r} j a_j b_{r-j}."""
+    b = [mp.exp(a[0])]
+    for r in range(1, len(a)):
+        b.append(mp.fsum(j * a[j] * b[r - j] for j in range(1, r + 1)) / r)
+    return b
+
+
+def zeta_jet(a: int, n: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients zeta^(r)(a)/r!, r < n, of zeta(a + s)."""
+    if a == 1:
+        raise PoleError("zeta pole at s=1")
+    with ctx.scoped():
+        return [mp.zeta(a, 1, r) / mp.factorial(r) for r in range(n)]
+
+
+def log_gamma1_jet(n: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients of log Gamma(1+s) = -euler s + sum_{r>=2}
+    (-1)^r zeta(r) s^r / r (DLMF 5.7.3), r < n."""
+    with ctx.scoped():
+        return ([mpf(0), -mp.euler] + [(-1) ** r * mp.zeta(r) / r for r in range(2, n)])[:n]
 
 
 # --------------------------------------------------------------------------
@@ -523,9 +572,11 @@ def lambert_series_sigma_form(a, y, ctx: PrecisionContext):
 
 
 def clear_caches() -> None:
-    """Drop memoized values: Gamma, scalar zeta, zeta-line nodes and the
-    vertical-line products built from them (constants tables persist)."""
+    """Drop memoized values: Gamma, scalar zeta, zeta-line nodes, the
+    vertical-line products built from them and the residue-term jets
+    (constants tables persist)."""
     _GAMMA_MEMO.clear()
     _ZETA_MEMO.clear()
     _ZLINE_MEMO.clear()
     _PRODUCT_MEMO.clear()
+    _JET_MEMO.clear()

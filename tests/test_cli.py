@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, config handling, output stability."""
 
+import dataclasses
 import json
 
 from ztl import cli, identities, mellin
@@ -167,12 +168,14 @@ def test_psi_trace_output(capsys):
     assert len(traces[0]["steps"]) >= 2
 
 
-def test_circle_failure_prints_trace_tail_without_trace_flag(monkeypatch, capsys):
-    monkeypatch.setattr(mellin, "_CIRCLE_REFINE_LIMIT", 0)
+def test_line_failure_prints_trace_tail_without_trace_flag(monkeypatch, capsys):
+    line_settings = mellin.line_settings
+    monkeypatch.setattr(mellin, "line_settings", lambda *a, **kw: dataclasses.replace(
+        line_settings(*a, **kw), refine_limit=0))
     assert run(["verify", "main", "--k", "2", "--digits", "15"]) == 3
     err = capsys.readouterr().err
-    assert "singularity may lie inside the circle" in err
-    assert '"M": 64' in err
+    assert "line quadrature did not converge within 0 refinements" in err
+    assert '"h": 0.125' in err
 
 
 def test_sweep_lists_may_start_with_minus_sign():

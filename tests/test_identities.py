@@ -63,6 +63,36 @@ def test_derivative_term_requires_nonzero_m(ctx50):
         idn.derivative_term(2, 0, mpf(1), ctx50)
 
 
+@pytest.mark.parametrize("term", ["derivative", "eta"])
+def test_jet_after_other_cells_equals_cold(term):
+    # the rho-free jets are memoized per (k, m, precision); terms of other
+    # k, m, rho and digits, and the other kind of term, must not leak in
+    ctx30, ctx50 = hp.with_precision(30), hp.with_precision(50)
+
+    def target():
+        if term == "derivative":
+            return idn.derivative_term(3, -1, mpf(40), ctx50)
+        return idn.eta_derivative_term(3, mpf("0.3"), ctx50)
+
+    special.clear_caches()
+    for k, m, rho, ctx in [(3, -1, 7, ctx30), (3, 1, 40, ctx50), (2, -1, 40, ctx50),
+                           (3, -1, 3, ctx50)]:
+        idn.derivative_term(k, m, mpf(rho), ctx)
+    for k, theta, ctx in [(3, 1, ctx30), (3, 0, ctx50), (2, "0.3", ctx50)]:
+        idn.eta_derivative_term(k, mpf(theta), ctx)
+    warm = target()
+    special.clear_caches()
+    assert target() == warm
+
+
+def test_clear_caches_empties_jet_memo(ctx30):
+    idn.derivative_term(2, 1, mpf(5), ctx30)
+    idn.eta_derivative_term(2, mpf("0.3"), ctx30)
+    assert special._JET_MEMO
+    special.clear_caches()
+    assert not special._JET_MEMO
+
+
 def test_bernoulli_block_lerch_combination(ctx50):
     # k=1, m=1, alpha=beta=pi: the three j-terms are 1/720, 1/144, 1/720
     coeffs = idn.bernoulli_block_coeffs(1, 1)
