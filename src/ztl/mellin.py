@@ -21,7 +21,8 @@ Refinement stops once est <= 10^-digits * scale.
 One driver, ``_refine``, runs the levels of both quadratures: it records
 every level's step, applies the stopping rule, registers the steps with the
 ``--trace`` sink and raises ``QuadratureError`` carrying them.
-``line_integral`` and ``cauchy_derivative`` only compute a level's value.
+``line_integral`` and ``cauchy_derivative`` only compute a level's value; a
+line's level is an exact sum of fixed-point ints on an int node index.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
 from .hp import PrecisionContext
 from . import special
@@ -151,30 +152,21 @@ def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
 # ---------------------------------------------------------------------------
 # line integral
 
-class _CallableOnLine:
-    """Adapter so plain callables share the run-evaluation interface."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def eval_vertical(self, c, t0, dt, count):
-        f = self.f
-        return [f(mpc(c, t0 + u * dt)) for u in range(count)]
-
-
 class VerticalProduct:
     """prod_i zeta(a_i + eps_i s)^{k_i} * Gamma(s)^g * cos(pi s/2)^p * base^{-s}
     evaluated on equispaced nodes of a vertical line.
 
     The base-free product P (zeta powers, Gamma^g, cos^p) is the same for
-    every base: for the alpha and beta sides of an identity, every theta of
-    a scan, every psi kernel of a term sum. It is memoized per node in
-    ``special._PRODUCT_MEMO`` under the line key (zeta factors, g, p, c,
-    precision). Missing nodes are computed in maximal equispaced runs: zeta
-    factors ride the memoized vertical-run evaluator, Gamma nodes hit the
-    scalar memo, cos advances by one multiplication per node. base^{-s}
-    advances by one multiplication per node on top of P, so a known node
-    costs one multiply.
+    every base: the alpha and beta sides of an identity, every theta of a
+    scan, every psi kernel of a term sum. ``special._PRODUCT_MEMO`` keeps it
+    as one ``special.FixedLine`` per line (zeta factors, g, p, c, precision,
+    grid): fixed-point ints by node index. Missing nodes are computed in
+    maximal equispaced runs: zeta factors ride the memoized vertical-run
+    evaluator, Gamma nodes hit the scalar memo, cos advances by one multiply
+    per node. Of base^{-s}, the rotation e^{-it ln base} is seeded once per
+    chunk and advances by one fixed-point complex multiply per node, and
+    base^{-c} rides on the chunk's scale: a known node costs two int complex
+    multiplies.
     """
 
     def __init__(self, ctx, zeta_factors=(), gamma_power=0, cos_power=0,
@@ -185,22 +177,43 @@ class VerticalProduct:
         self.cos_power = cos_power
         with ctx.scoped():
             self.ln_base = mp.log(mpf(neg_s_base))
+        self._fixed: dict = {}   # dt -> rotation step; (c, shift) -> scale
 
-    def eval_vertical(self, c, t0, dt, count):
+    def eval_vertical(self, c, t0, dt, count, grid=None):
+        """(re, im, scale): the value at c + i(t0 + u dt), u < count, is
+        scale * (re[u] + i im[u]). t0 and dt are multiples of ``grid``
+        (default |dt|), whose int multiples index the line's products."""
         ctx = self.ctx
         with ctx.scoped():
-            c = mpf(c)
-            line = (self.zeta_factors, self.gamma_power, self.cos_power, c._mpf_,
-                    ctx.prec_bits)
-            memo = special._PRODUCT_MEMO.setdefault(line, {})
-            vals = _memoized_nodes(memo, partial(self._product_run, c), t0, dt, count)
-            if self.ln_base != 0:
-                zp = mp.exp(-mpc(c, t0) * self.ln_base)
-                zstep = mp.exp(-mpc(0, dt) * self.ln_base)
-                for u in range(count):
-                    vals[u] *= zp
-                    zp = zp * zstep
-            return vals
+            c, t0, dt = mpf(c), mpf(t0), mpf(dt)
+            grid = abs(dt) if grid is None else mpf(grid)
+            line = self._line((self.zeta_factors, self.gamma_power, self.cos_power,
+                               c._mpf_, ctx.prec_bits, grid._mpf_))
+            vals = line.read(partial(self._product_run, c), t0, dt, count, grid)
+            W, memo = line.W, self._fixed
+            if dt._mpf_ not in memo:
+                sr, si = self._rotation(dt, W)
+                memo[dt._mpf_] = sr, sr + si, si - sr
+            sr, ssum, sdif = memo[dt._mpf_]
+            zr, zi = self._rotation(t0, W)
+            re, im = [], []
+            for pr, pi in vals:   # three-multiply complex products, exact
+                k = zr * (pr + pi)
+                re.append((k - pi * (zr + zi)) >> W)
+                im.append((k + pr * (zi - zr)) >> W)
+                k = sr * (zr + zi)
+                zr, zi = (k - zi * ssum) >> W, (k + zr * sdif) >> W
+            if (c._mpf_, line.shift) not in memo:
+                memo[c._mpf_, line.shift] = mp.exp(-c * self.ln_base) * line.unit()
+            return re, im, memo[c._mpf_, line.shift]
+
+    def _line(self, key):
+        return special._PRODUCT_MEMO.setdefault(key, special.FixedLine(self.ctx.prec_bits))
+
+    def _rotation(self, t, W):
+        """e^{-i t ln base} as fixed-point ints with W fractional bits."""
+        re, im = mp.expj(-t * self.ln_base)._mpc_
+        return to_fixed(re, W), to_fixed(im, W)
 
     def _product_run(self, c, t0, dt, count):
         """P at c + i(t0 + u dt), u < count."""
@@ -231,24 +244,20 @@ class VerticalProduct:
         return vals
 
 
-def _memoized_nodes(memo: dict, run, t0, dt, count) -> list:
-    """[value at t0 + u dt for u < count] through ``memo`` (t -> value).
-    Missing nodes are computed by ``run(t, dt', n)`` in maximal equispaced
-    runs, since refinement levels leave stride-2 gaps between known nodes,
-    and stored."""
-    out = [memo.get((t0 + u * dt)._mpf_) for u in range(count)]
-    miss = [u for u, v in enumerate(out) if v is None]
-    i = 0
-    while i < len(miss):
-        stride = miss[i + 1] - miss[i] if i + 1 < len(miss) else 1
-        j = i + 1
-        while j < len(miss) and miss[j] - miss[j - 1] == stride:
-            j += 1
-        vs = run(t0 + miss[i] * dt, stride * dt, j - i)
-        for u, v in zip(miss[i:j], vs):
-            memo[(t0 + u * dt)._mpf_] = out[u] = v
-        i = j
-    return out
+class _CallableOnLine(VerticalProduct):
+    """A plain callable as a VerticalProduct with base 1, whose nodes are
+    kept for the one line integral rather than in the product memo."""
+
+    def __init__(self, f, ctx):
+        super().__init__(ctx)
+        self.f = f
+        self.store = special.FixedLine(ctx.prec_bits)
+
+    def _line(self, key):
+        return self.store
+
+    def _product_run(self, c, t0, dt, count):
+        return [self.f(mpc(c, t0 + u * dt)) for u in range(count)]
 
 
 def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
@@ -256,58 +265,54 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
     """(1/2 pi i) * integral of f over Re(s) = c.
 
     ``f`` is a callable of one complex argument or an object exposing
-    ``eval_vertical(c, t0, dt, count)``. With ``conj_symmetric`` the lower
-    half-line is folded onto the upper one and the result is real.
-    Level i has step h0/2^i and cap T (3/2)^i. Raises QuadratureError when
-    refine_limit is exhausted.
+    ``eval_vertical(c, t0, dt, count, grid)`` as VerticalProduct does. With
+    ``conj_symmetric`` the lower half-line is folded onto the upper one and
+    the result is real. Level i has step h0/2^i and cap T (3/2)^i; every
+    node is an int multiple of grid = h0/2^refine_limit. A level sums
+    fixed-point ints exactly (``special.FixedLine`` bounds their rounding by
+    2^-(prec+24) of the line's first nonzero node, below the 2^-prec sum |v_j|
+    of mpc arithmetic also on a line that cancels) and scales the sum once.
+    A half-line stops after 5 consecutive nodes past t = 5 with |v| < eps,
+    tested on ints as re^2 + im^2 < (eps/scale)^2. Raises QuadratureError
+    when refine_limit is exhausted.
     """
-    ev = f if hasattr(f, "eval_vertical") else _CallableOnLine(f)
+    ev = f if hasattr(f, "eval_vertical") else _CallableOnLine(f, ctx)
     with ctx.scoped():
         c = settings.c
         rel = mpf(10) ** (-ctx.digits)
-        memo: dict = {}
-
-        def values(t0, dt, count):
-            return _memoized_nodes(memo, partial(ev.eval_vertical, c), t0, dt, count)
-
-        def scan_side(h, T, eps, sign):
-            # |v| >= max(|Re v|, |Im v|), so a node with a part beyond
-            # `big` is not below eps whatever abs(v) rounds to, and its
-            # square root is skipped; the margin covers that rounding
-            big = eps * (1 + mpf(2) ** (4 - mp.prec))
-            nbig = -big
-            vals = []
-            consec = 0
-            j = 1
-            jmax = int(T / h)
-            while j <= jmax:
-                count = min(_CHUNK, jmax - j + 1)
-                vs = values(sign * j * h, sign * h, count)
-                for i, v in enumerate(vs):
-                    vals.append(v)
-                    re, im = v.real, v.imag
-                    if (nbig < re < big and nbig < im < big and abs(v) < eps
-                            and (j + i) * h > 5):
-                        consec += 1
-                        if consec >= 5:
-                            return vals
-                    else:
-                        consec = 0
-                j += count
-            return vals
+        grid = settings.h0 / 2 ** settings.refine_limit
 
         def level(i, prev):
             h = settings.h0 / 2 ** i
             T = settings.T * (mpf(3) / 2) ** i
-            f0 = values(mpf(0), h, 1)[0]
+            jmax, jtail = int(T / h), int(5 / h) + 1
             eps = rel * max(_ABS_FLOOR, abs(prev) if prev is not None else _ABS_FLOOR) / 10
-            up = scan_side(h, T, eps, 1)
-            if conj_symmetric:
-                val = (h / (2 * mp.pi)) * (f0.real + 2 * mp.fsum(v.real for v in up))
-            else:
-                down = scan_side(h, T, eps, -1)
-                val = (h / (2 * mp.pi)) * (f0 + mp.fsum(up) + mp.fsum(down))
-            return val, {"h": float(h), "T": float(T)}
+            re, im, scale = ev.eval_vertical(c, mpf(0), h, 1, grid=grid)
+            sre, sim, thr = re[0], im[0], None
+            for sign in (1,) if conj_symmetric else (1, -1):
+                consec = 0
+                for j in range(1, jmax + 1, _CHUNK):
+                    count = min(_CHUNK, jmax - j + 1)
+                    re, im, sc = ev.eval_vertical(c, sign * j * h, sign * h, count, grid=grid)
+                    if thr is None or sc != scale:
+                        # a line's scale changes only while all its ints are 0
+                        scale, thr = sc, int(mp.ceil((eps / sc) ** 2))
+                    stop = count
+                    for u in range(max(0, jtail - j), count):
+                        x = re[u] * re[u]
+                        if x < thr and x + im[u] * im[u] < thr:
+                            consec += 1
+                            if consec == 5:
+                                stop = u + 1
+                                break
+                        else:
+                            consec = 0
+                    sre += (2 if conj_symmetric else 1) * sum(re[:stop])
+                    sim += sum(im[:stop])
+                    if consec == 5:
+                        break
+            val = scale * sre if conj_symmetric else scale * mpc(sre, sim)
+            return (h / (2 * mp.pi)) * val, {"h": float(h), "T": float(T)}
 
         return _refine("line", {"c": float(c)}, settings.refine_limit, rel, level, trace)
 
@@ -329,23 +334,17 @@ def cauchy_derivative(f, order: int, ctx: PrecisionContext, center=0,
         r = mpf(1) / 4
         rel = mpf(10) ** (-ctx.digits)
         fac = mp.factorial(order) / r ** order
-        memo: dict = {}
+        terms: list = []        # the current level's f(a + r w) w^-order
 
-        def node(j, M):
-            key = Fraction(j, M)
-            v = memo.get(key)
-            if v is None:
-                w = mp.expjpi(mpf(2 * key.numerator) / key.denominator)
-                v = (f(a + r * w), w)
-                memo[key] = v
-            return v
+        def term(j, M):
+            w = mp.expjpi(mpf(2 * j) / M)
+            return f(a + r * w) * w ** (-order)
 
         def level(i, prev):
             M = max(64, 8 * (order + 1)) << i
-            terms = []
-            for j in range(M):
-                fv, w = node(j, M)
-                terms.append(fv * w ** (-order))
+            # the even nodes are the previous level's
+            terms[:] = ([term(j, M) for j in range(M)] if i == 0 else
+                        [t for j in range(M // 2) for t in (terms[j], term(2 * j + 1, M))])
             return fac / M * mp.fsum(terms), {"M": M}
 
         return _refine("circle", {"order": order}, _CIRCLE_REFINE_LIMIT, rel, level, trace)

@@ -217,6 +217,34 @@ def check_truncation_bound(ctx):
         return ok, f"e^(-pi T/2) T^p = {mp.nstr(lhs, 3)} at T={st.T}"
 
 
+def check_fixed_line_cancellation(ctx):
+    """Fixed-point line sums against routes that use no line: k = 1 folds
+    for m in {1, -1, 7} at rho = 2 pi e^3 (a value near e^-126 from nodes
+    whose |v| sums to about 1e-5) and at rho = 2 pi e^-2.5, against the
+    Lambert series sum n^-(2m+1)/(e^(rho n) - 1); the k = 2, m = 1 fold at
+    rho = 2 pi e^3 against its Bessel double sum; and a callable line that
+    is exactly 0 at t = 0, (s - 2) Gamma(s) 3^-s over both half-lines,
+    against (x - 2) e^-x at x = 3. Gap below 10^(5-digits) max(|oracle|,
+    1e-5), the stopping rule's own promise."""
+    with ctx.scoped():
+        gaps = []
+
+        def gap(value, oracle):
+            return abs(value - oracle) / max(abs(oracle), mpf("1e-5"))
+
+        for rho in (2 * mp.pi * mp.exp(3), 2 * mp.pi * mp.exp(mpf(-5) / 2)):
+            for m in (1, -1, 7):
+                v = series_L(SeriesRequest(rho=rho, k=1, m=m), ctx).value
+                gaps.append(gap(v, special.lambert_series(-2 * m - 1, rho, ctx)))
+        req = SeriesRequest(rho=2 * mp.pi * mp.exp(3), k=2, m=1)
+        gaps.append(gap(series_L(req, ctx).value, series_L(req, ctx, strategy="terms").value))
+        f = lambda s: (s - 2) * special.gamma(s, ctx) * mpf(3) ** (-s)
+        v = mellin.line_integral(f, mellin.line_settings(ctx, 2, poly_power=2.5), ctx)
+        gaps.append(gap(v, mp.exp(-3)))
+        worst = max(gaps)
+        return worst < ctx.tolerance(5), f"{len(gaps)} lines, worst gap {mp.nstr(worst, 3)}"
+
+
 def check_psi_strategy_agreement(ctx):
     tol = ctx.tolerance(8)
     with ctx.scoped():
@@ -377,6 +405,7 @@ CHECKS = [
     ("mellin", "mesh_refinement_geometric", check_mesh_refinement_geometric),
     ("mellin", "cauchy_order_zero", check_cauchy_order_zero),
     ("mellin", "truncation_bound", check_truncation_bound),
+    ("mellin", "fixed_line_cancellation", check_fixed_line_cancellation),
     ("psi", "strategy_agreement", check_psi_strategy_agreement),
     ("psi", "shape", check_psi_shape),
     ("psi", "scaling_symmetry", check_psi_scaling),

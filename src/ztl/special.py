@@ -19,9 +19,10 @@ Three evaluation surfaces coexist:
 
 Every evaluation is memoized per node: Gamma and scalar zeta per point,
 ``zeta_vertical_run`` per (abscissa, t), and ``_PRODUCT_MEMO`` holds the
-base-free products of ``mellin.VerticalProduct``, one dict of nodes per
-line. ``_JET_MEMO`` holds the rho-free residue jets. ``clear_caches``
-empties all five.
+base-free products of ``mellin.VerticalProduct``, one ``FixedLine`` per
+line: fixed-point (re, im) ints under one exponent for the line, keyed by
+the int node index n of t = n * grid. ``_JET_MEMO`` holds the rho-free
+residue jets. ``clear_caches`` empties all five.
 """
 
 from __future__ import annotations
@@ -237,8 +238,8 @@ def log_gamma1_jet(n: int, ctx: PrecisionContext) -> list:
 _ZLINE_MEMO: dict = {}
 _RUN_CHUNK = 96
 
-# (zeta factors, Gamma power, cos power, c, prec) -> {t: product at c + it};
-# filled by mellin.VerticalProduct
+# (zeta factors, Gamma power, cos power, c, prec, grid) -> FixedLine of the
+# base-free products; filled by mellin.VerticalProduct
 _PRODUCT_MEMO: dict = {}
 
 
@@ -404,6 +405,64 @@ def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
             nre, nim = (nre * cre[N] - nim * cim[N]) >> W, (nre * cim[N] + nim * cre[N]) >> W
             sim += dim
     return out
+
+
+# a line-integral level's int sum stays within 2^-(prec+_GUARD) of the line's
+# first nonzero node while the level sums fewer than 2^_NODE_BITS nodes:
+# production levels sum a few thousand, and 2^32 would take hours
+_NODE_BITS = 32
+
+
+class FixedLine:
+    """The nodes of one vertical line as fixed-point ints, keyed by the int
+    index n of t = n * grid: node n holds (re, im), its value being
+    (re + i im) 2^-shift. The first nonzero value v sets
+    shift = W - mag(v), W = prec + _GUARD + _NODE_BITS, and shift never
+    changes; nodes before it are (0, 0). So every node carries at most a unit
+    of rounding, 2^-(prec+_GUARD+_NODE_BITS) of the line's first nonzero
+    node, and an exact int sum over one level's nodes is off by less than
+    2^-(prec+_GUARD) of that node. Missing nodes are computed by
+    ``run(t0, dt, count)`` in maximal equispaced runs, since refinement
+    levels leave stride-2 gaps between known nodes."""
+
+    def __init__(self, prec: int):
+        self.nodes: dict = {}
+        self.W = prec + _GUARD + _NODE_BITS
+        self.shift = None
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def read(self, run, t0, dt, count: int, grid) -> list:
+        """[(re, im) at t0 + u dt for u < count]; t0, dt multiples of grid."""
+        n0, dn = int(mp.nint(t0 / grid)), int(mp.nint(dt / grid))
+        nodes = self.nodes
+        out = list(map(nodes.get, range(n0, n0 + count * dn, dn)))
+        miss = [u for u, v in enumerate(out) if v is None] if None in out else []
+        i = 0
+        while i < len(miss):
+            stride = miss[i + 1] - miss[i] if i + 1 < len(miss) else 1
+            j = i + 1
+            while j < len(miss) and miss[j] - miss[j - 1] == stride:
+                j += 1
+            vs = run(grid * (n0 + miss[i] * dn), grid * (stride * dn), j - i)
+            for u, v in zip(miss[i:j], vs):
+                nodes[n0 + u * dn] = out[u] = self._fixed(mpc(v))
+            i = j
+        return out
+
+    def _fixed(self, v: mpc) -> tuple[int, int]:
+        if self.shift is None:
+            if not v:
+                return 0, 0
+            self.shift = self.W - mp.mag(v)
+        re, im = v._mpc_
+        return to_fixed(re, self.shift), to_fixed(im, self.shift)
+
+    def unit(self) -> mpf:
+        """2^-shift, the value of one int unit (any power of 2 while every
+        node is 0)."""
+        return mp.ldexp(1, -(self.W if self.shift is None else self.shift))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp, mpc, mpf
 
+from conftest import fixed_to_mpc
 from ztl import hp, mellin, special
 
 
@@ -94,12 +95,26 @@ def test_circle_first_level_node_floor(ctx50):
             assert tr[0]["M"] == nodes
 
 
+def test_line_stops_when_a_chunk_ends_the_tail(ctx30):
+    # nodes t = j/8, j = 92..96, are 0: the fifth small node ends the first
+    # 96-node chunk, and the half-line must stop there
+    def f(s):
+        return mpf(0) if mpf(23) / 2 <= s.imag <= 12 else mpf(1)
+
+    st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 8, T=mpf(40), refine_limit=0)
+    tr = []
+    with pytest.raises(mellin.QuadratureError):
+        mellin.line_integral(f, st, ctx30, conj_symmetric=True, trace=tr)
+    with ctx30.scoped():
+        assert abs(mpf(tr[0]["value"]) - mpf(183) / (16 * mp.pi)) < ctx30.tolerance()
+
+
 @pytest.mark.parametrize("p", [-2, -1, 1, 2])
 def test_vertical_product_cos_powers(ctx50, p):
     # the stepped cos(pi s/2)^p against mpmath's, every sign of the power
     with ctx50.scoped():
         c, t0, dt = mpf(7) / 2, mpf(-3), mpf(3) / 4
-        vals = mellin.VerticalProduct(ctx50, cos_power=p).eval_vertical(c, t0, dt, 12)
+        vals = fixed_to_mpc(mellin.VerticalProduct(ctx50, cos_power=p).eval_vertical(c, t0, dt, 12))
         for u, v in enumerate(vals):
             ref = mp.cospi(mpc(c, t0 + u * dt) / 2) ** p
             assert abs(v - ref) <= ctx50.tolerance() * abs(ref)

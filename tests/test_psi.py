@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from conftest import fixed_to_mpc
 from ztl import mellin, special, with_precision
 from ztl.psi import PsiRequest, SeriesRequest, VerticalProduct, psi, series_L
 
@@ -197,7 +198,17 @@ def test_fold_on_a_warm_line_equals_cold(ctx50, k, m):
 def _gamma_cos_nodes(g, ctx):
     with ctx.scoped():
         f = VerticalProduct(ctx, gamma_power=g, cos_power=1)
-        return f.eval_vertical(mpf(5) / 2, mpf(0), mpf(1) / 8, 16)
+        return fixed_to_mpc(f.eval_vertical(mpf(5) / 2, mpf(0), mpf(1) / 8, 16))
+
+
+def _line_at(h0):
+    # the same VerticalProduct line read through quadratures whose node
+    # grids h0/2^refine_limit differ: node n is a different t on each
+    ctx = with_precision(15)
+    with ctx.scoped():
+        f = VerticalProduct(ctx, gamma_power=1, neg_s_base=3)
+        st = mellin.QuadratureSettings(c=mpf(2), h0=h0, T=mellin.line_settings(ctx, 2).T)
+        return mellin.line_integral(f, st, ctx, conj_symmetric=True)
 
 
 @pytest.mark.parametrize("first,second", [
@@ -207,7 +218,8 @@ def _gamma_cos_nodes(g, ctx):
      lambda: series_L(SeriesRequest(rho=mpf(5), k=2, m=1), with_precision(50)).value),
     (lambda: _gamma_cos_nodes(1, with_precision(50)),
      lambda: _gamma_cos_nodes(2, with_precision(50))),
-], ids=["psi-kernel-k", "fold-digits", "gamma-power"])
+    (lambda: _line_at(mpf(1) / 8), lambda: _line_at(mpf(1) / 32)),
+], ids=["psi-kernel-k", "fold-digits", "gamma-power", "grid"])
 def test_product_memo_separates_lines(first, second):
     # lines that differ in one key field must not share products
     special.clear_caches()
