@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 from .hp import PrecisionContext
 from . import special, mellin
 from .mellin import VerticalProduct
-from .psi import PsiRequest, SeriesRequest, psi, series_L, divisor_counts
+from .psi import SeriesRequest, series_L
 
 __all__ = [
     "IdentityParams", "VerificationReport", "Identity", "IDENTITIES",
@@ -316,9 +316,10 @@ def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> Verifica
 
 def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """The squared-zeta transformation, evaluated literally: Bessel-pair sums
-    for the Koshliakov function (leading factor 2), digamma-free log
-    derivative of zeta from its Taylor jet, Euler's constant from the
-    constants table."""
+    for the Koshliakov function (leading factor 2), summed as one Dirichlet
+    convolution over N = j n by ``series_L(strategy="terms")`` and never on a
+    Mellin line; digamma-free log derivative of zeta from its Taylor jet,
+    Euler's constant from the constants table."""
     check_params("dixit", 2, m)
     t0 = time.perf_counter()
     with ctx.scoped():
@@ -328,14 +329,10 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
         zp_over_z = zj[1] / zj[0]
 
         def bracket(r):
-            # Omega_r(n) = 2 Psi_{(2r)^2, 2}(n), summed with weight n^-(2m+1)
-            def term(n):
-                om = 2 * psi(PsiRequest(rho=(2 * r) ** 2, k=2, x=mpf(n)), ctx).value
-                return divisor_counts(2, n).d(n) * om * mp.power(n, -(2 * m + 1))
-
-            acc, _, _ = special.sum_until_negligible(term, ctx, 5, 10 ** 5,
-                                                     "Koshliakov series")
-            return z ** 2 * (mp.euler + mp.log(r / mp.pi) - zp_over_z) + acc
+            # sum_n d(n) n^-(2m+1) Omega_r(n) with Omega_r = 2 Psi_{(2r)^2, 2}
+            om = 2 * series_L(SeriesRequest(rho=(2 * r) ** 2, k=2, m=m), ctx,
+                              strategy="terms").value
+            return z ** 2 * (mp.euler + mp.log(r / mp.pi) - zp_over_z) + om
 
         lhs = alpha ** (-2 * m) * bracket(alpha)
         blk = mpf(0)

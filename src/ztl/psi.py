@@ -9,10 +9,13 @@ Psi strategies:
 
 The weighted series sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n) is evaluated by
 folding the divisor sum into the contour integral (one quadrature instead of
-thousands); the explicit n-sum survives as a cross-check strategy.
+thousands); the explicit sum survives as a cross-check strategy. For k = 2
+that sum is one Dirichlet convolution: the Bessel argument of Psi's closed
+form depends only on N = j n, so it costs one K0 per N, with the weights
+d * (d n^{-(2m+1)}) from the divisor sieve.
 
 Both folds integrate ``mellin.VerticalProduct``; the Bessel-pair, kernel and
-explicit n-sums truncate through ``special.sum_until_negligible``.
+explicit sums truncate through ``special.sum_until_negligible``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,34 @@ def divisor_counts(k: int, upto: int) -> special.DivisorTable:
     return tab
 
 
+# m -> [A(0), A(1), ...], exact ints of the k = 2 series weights; grown on
+# demand like the divisor tables
+_WEIGHT_CACHE: dict[int, list[int]] = {}
+
+
+def series_weights(m: int, upto: int) -> list[int]:
+    """Ints A(N), N <= upto at least, with a(N) = A(N) / N^{e+}: the k = 2
+    weights a = d * (d n^{-e}), e = 2m+1, e+ = max(e, 0), as one sum over
+    N = n j. Then n^{-e} = n^{e+ - e} j^{e+} / N^{e+}, so
+    A(N) = sum_{n j = N} d(n) d(j) n^{e+ - e} j^{e+}."""
+    A = _WEIGHT_CACHE.get(m)
+    if A is None or len(A) <= upto:
+        size = 256
+        while size < upto:
+            size *= 2
+        e = 2 * m + 1
+        ep = max(e, 0)
+        d = divisor_counts(2, size)
+        dj = [0] + [d.d(j) * j ** ep for j in range(1, size + 1)]
+        A = [0] * (size + 1)
+        for n in range(1, size + 1):
+            wn = d.d(n) * n ** (ep - e)
+            for j in range(1, size // n + 1):
+                A[n * j] += wn * dj[j]
+        _WEIGHT_CACHE[m] = A
+    return A
+
+
 # ---------------------------------------------------------------------------
 # Psi
 
@@ -158,7 +189,10 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
 
     ``fold`` turns the divisor sum into zeta^k(2m+1+s) inside one line
     integral (valid for Re(s) above both 1 and -2m); ``terms`` sums the
-    series literally with adaptive truncation and is kept as an oracle.
+    series literally with adaptive truncation and is kept as an oracle. For
+    k = 2, ``terms`` sums sum_N a(N) 2 Re K0(2 e^{i pi/4} sqrt(rho N)) with
+    a = d * (d n^{-(2m+1)}), one K0 per N, and ``terms_used`` is that N; for
+    other k it sums Psi per n.
     """
     if strategy not in ("fold", "terms"):
         raise special.DomainError(f"unknown series strategy {strategy!r}")
@@ -173,9 +207,27 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
             v = mellin.line_integral(f, settings, ctx, conj_symmetric=True)
             return SeriesValue(value=v, terms_used=None, strategy="fold")
 
+        if k == 2:
+            return _series_k2_terms(rho, m, req.N_max, ctx)
+
         def term(n):
             pv = psi(PsiRequest(rho=rho, k=k, x=mpf(n)), ctx)
             return divisor_counts(k, n).d(n) * mp.power(n, -(2 * m + 1)) * pv.value
 
         acc, _, n = special.sum_until_negligible(term, ctx, 5, req.N_max, "weighted series")
         return SeriesValue(value=acc, terms_used=n, strategy="terms")
+
+
+def _series_k2_terms(rho, m, N_max, ctx) -> SeriesValue:
+    # sum_n d(n) n^{-(2m+1)} sum_j d(j) 2 Re K0(2 e^{i pi/4} sqrt(rho j n)):
+    # the Bessel argument depends on N = j n only, so the double sum is one
+    # sum over N with weight a(N), one K0 per N
+    eps = mp.expjpi(mpf(1) / 4)
+    ep = max(2 * m + 1, 0)
+
+    def term(N):
+        return (series_weights(m, N)[N] * mp.power(N, -ep)
+                * 2 * special.bessel_k0(2 * eps * mp.sqrt(rho * N), ctx).real)
+
+    acc, _, N = special.sum_until_negligible(term, ctx, 5, N_max, "weighted series")
+    return SeriesValue(value=acc, terms_used=N, strategy="terms")

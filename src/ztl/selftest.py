@@ -19,7 +19,7 @@ from mpmath import mp, mpf, mpc
 from .hp import (const_euler_gamma, const_log_2pi, const_pi, real_from_str,
                  real_to_str, with_precision)
 from . import special, mellin
-from .psi import PsiRequest, SeriesRequest, psi, series_L
+from .psi import PsiRequest, SeriesRequest, divisor_counts, psi, series_L
 from . import identities
 
 _SEED = 20240131
@@ -297,6 +297,30 @@ def check_series_tail(ctx):
         return res < ctx.tolerance(5), f"N_max doubling moved sum by {mp.nstr(res, 3)}"
 
 
+def check_bessel_pair_convolution(ctx):
+    """The k = 2 ``terms`` series, one K0 per N = j n with the convolved
+    weight a(N), against the nested sum it replaces: sum_n d(n) n^-(2m+1)
+    Psi_{rho,2}(n), each Psi from its closed form (a Bessel-pair sum over j).
+    m in {1, -1, 2}, rho = (2 alpha)^2 and (2 beta)^2 for theta in {0, 0.45}.
+    Gap below 10^(5-digits) max(|oracle|, 1e-5)."""
+    with ctx.scoped():
+        gaps = []
+        alpha, beta = identities.alpha_beta(mpf("0.45"), ctx)
+        for r in (mp.pi, alpha, beta):
+            rho = (2 * r) ** 2
+            for m in (1, -1, 2):
+                def term(n):
+                    return (divisor_counts(2, n).d(n) * mp.power(n, -(2 * m + 1))
+                            * psi(PsiRequest(rho=rho, k=2, x=mpf(n)), ctx).value)
+
+                oracle, _, _ = special.sum_until_negligible(term, ctx, 5, 10 ** 5,
+                                                            "nested Bessel-pair series")
+                v = series_L(SeriesRequest(rho=rho, k=2, m=m), ctx, strategy="terms").value
+                gaps.append(abs(v - oracle) / max(abs(oracle), mpf("1e-5")))
+        worst = max(gaps)
+        return worst < ctx.tolerance(5), f"{len(gaps)} series, worst gap {mp.nstr(worst, 3)}"
+
+
 def check_theta_reflection_duality(ctx):
     tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
@@ -410,6 +434,7 @@ CHECKS = [
     ("psi", "shape", check_psi_shape),
     ("psi", "scaling_symmetry", check_psi_scaling),
     ("psi", "series_tail", check_series_tail),
+    ("psi", "bessel_pair_convolution", check_bessel_pair_convolution),
     ("identities", "theta_reflection_duality", check_theta_reflection_duality),
     ("identities", "jets_match_circles", check_jets_match_circles),
     ("identities", "reindex_exact", check_reindex_exact),

@@ -2,9 +2,10 @@
 
 Complex Gamma (mpmath's, behind a pole check and a memo), complex Riemann
 zeta (Euler-Maclaurin + functional equation), exact rational Bernoulli
-numbers, modified Bessel K0 / K_{1/2}, the Piltz divisor sieve, Lambert
-series, and ``sum_until_negligible``, the one adaptive truncation rule that
-every slowly decaying series of the package stops by.
+numbers, modified Bessel K0 (its series and asymptotic sums in fixed point)
+and K_{1/2}, the Piltz divisor sieve, Lambert series, and
+``sum_until_negligible``, the one adaptive truncation rule that every slowly
+decaying series of the package stops by.
 
 Three evaluation surfaces coexist:
 
@@ -300,6 +301,11 @@ _GUARD = 24
 _EM_RATIO: dict[tuple[int, int], int] = {}     # (j, W) -> C_{j+1}/C_j, fixed
 
 
+def _from_fixed(re: int, im: int, W: int, prec: int) -> mpc:
+    """(re + i im) 2^-W rounded to prec bits."""
+    return mp.make_mpc((from_man_exp(re, -W, prec, "n"), from_man_exp(im, -W, prec, "n")))
+
+
 def _em_ratio(j: int, W: int) -> int:
     # C_j = B_2j/(2j)!, so C_{j+1}/C_j = B_{2j+2} / (B_2j (2j+1)(2j+2))
     key = (j, W)
@@ -399,8 +405,7 @@ def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
             tre, tim = (tre * qre - tim * qim) * r // D, (tre * qim + tim * qre) * r // D
         vre += (nre * sumre - nim * sumim) >> W
         vim += (nre * sumim + nim * sumre) >> W
-        out.append(mp.make_mpc((from_man_exp(vre, -W, prec, "n"),
-                                from_man_exp(vim, -W, prec, "n"))))
+        out.append(_from_fixed(vre, vim, W, prec))
         if u + 1 < count:
             nre, nim = (nre * cre[N] - nim * cim[N]) >> W, (nre * cim[N] + nim * cre[N]) >> W
             sim += dim
@@ -481,9 +486,11 @@ def bessel_k_half(z, ctx: PrecisionContext):
 def bessel_k0(z, ctx: PrecisionContext):
     """K_0(z), Re(z) > 0; series for small |z|, asymptotic for large |z|.
 
-    The asymptotic branch is used only when its smallest term clears the
-    working tolerance (roughly |z| > 1.2 * working digits); the series branch
-    runs at raised precision to absorb the e^{2|z|} cancellation.
+    The asymptotic branch is used only when its smallest term, about
+    e^{-2|z|}, clears 2^-(prec+12). Both branches sum their terms as
+    fixed-point (re, im) ints at scale 2^W, like the zeta run kernel; only
+    the final log, sqrt and exp prefactors are mpc. The series branch adds
+    2|z| log2(e) + 12 bits to W to absorb its e^{2|z|} cancellation.
     """
     with ctx.scoped():
         z = mpc(z)
@@ -491,7 +498,6 @@ def bessel_k0(z, ctx: PrecisionContext):
             raise DomainError("bessel_k0 requires Re(z) > 0")
         prec = ctx.prec_bits
         az = abs(z)
-        # asymptotic min-term ~ e^{-2|z|}
         if float(az) * 2 > (prec + 12) * math.log(2):
             v = _k0_asymptotic(z, prec)
         else:
@@ -500,40 +506,57 @@ def bessel_k0(z, ctx: PrecisionContext):
 
 
 def _k0_asymptotic(z: mpc, prec: int) -> mpc:
-    # K0(z) ~ sqrt(pi/2z) e^-z sum_j a_j, a_j = -a_{j-1} (2j-1)^2/(8j z)
-    tol = mpf(2) ** (-prec - 5)
-    term = mpc(1)
-    acc = mpc(1)
+    # K0(z) ~ sqrt(pi/2z) e^-z sum_j a_j, a_j = -a_{j-1} (2j-1)^2/(8j z),
+    # summed until |a_j| < 2^-(prec+5)
+    W = prec + _GUARD
+    w = 1 / z
+    wre, wim = to_fixed(w.real._mpf_, W), to_fixed(w.imag._mpf_, W)
+    lim = 1 << 2 * (W - prec - 5)
+    tre, tim = 1 << W, 0
+    are, aim = tre, tim
     j = 1
-    while abs(term) > tol:
-        term *= -mpf((2 * j - 1) ** 2) / (8 * j) / z
-        acc += term
+    while tre * tre + tim * tim >= lim:
+        c = (2 * j - 1) ** 2
+        d = (8 * j) << W
+        tre, tim = (-(tre * wre - tim * wim) * c) // d, (-(tre * wim + tim * wre) * c) // d
+        are += tre
+        aim += tim
         j += 1
         if j > 4 * prec:
             raise ArithmeticError("K0 asymptotic series stalled")
-    return mp.sqrt(mp.pi / (2 * z)) * mp.exp(-z) * acc
+    return mp.sqrt(mp.pi / (2 * z)) * mp.exp(-z) * _from_fixed(are, aim, W, prec)
 
 
 def _k0_series(z: mpc, prec: int) -> mpc:
     # K0 = -(ln(z/2)+gamma) I0(z) + sum_{j>=1} (z^2/4)^j / (j!)^2 * H_j
     bump = int(2 * float(abs(z)) * 1.4427) + 12   # cancellation allowance
+    W = prec + bump + _GUARD
+    one = 1 << W
+    zre, zim = to_fixed(z.real._mpf_, W), to_fixed(z.imag._mpf_, W)
+    qre, qim = (zre * zre - zim * zim) >> (W + 2), (zre * zim) >> (W + 1)
+    q2 = (qre * qre + qim * qim) >> 2 * W            # |q|^2, int part
+    tre, tim = one, 0
+    ire, iim = one, 0
+    kre, kim = 0, 0
+    h = 0
+    j = 1
+    while True:
+        d = (j * j) << W
+        tre, tim = (tre * qre - tim * qim) // d, (tre * qim + tim * qre) // d
+        h += one // j
+        ire += tre
+        iim += tim
+        kre += (tre * h) >> W
+        kim += (tim * h) >> W
+        # past the peak (j^2 > |q|) the terms only shrink; floor division
+        # leaves a negative term at -1 for good, so stop a few ulps above 0
+        if j ** 4 > q2 and abs(tre) + abs(tim) < 16:
+            break
+        j += 1
     with mp.workprec(prec + bump):
         z = mpc(z)
-        q = z * z / 4
-        tol = mpf(2) ** (-(prec + bump))
-        i0 = mpc(1)
-        ksum = mpc(0)
-        term = mpc(1)
-        h = mpf(0)
-        j = 1
-        while True:
-            term *= q / (j * j)
-            h += mpf(1) / j
-            i0 += term
-            ksum += term * h
-            if abs(term) * max(1, float(h)) < tol * abs(i0):
-                break
-            j += 1
+        i0 = _from_fixed(ire, iim, W, prec + bump)
+        ksum = _from_fixed(kre, kim, W, prec + bump)
         v = -(mp.log(z / 2) + mp.euler) * i0 + ksum
     return +v
 

@@ -9,6 +9,7 @@ from ztl import cli, selftest, with_precision
 AT_50 = ["hp.constants_stable", "special.lambert_two_forms", "special.bessel_k_half",
          "mellin.line_conjugate_symmetry", "mellin.cauchy_order_zero",
          "mellin.truncation_bound", "mellin.fixed_line_cancellation",
+         "psi.bessel_pair_convolution",
          "identities.theta_reflection_duality",
          "identities.jets_match_circles"]
 AT_30 = ["hp.add_sub_roundtrip", "hp.serialization_roundtrip",

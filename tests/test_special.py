@@ -202,6 +202,27 @@ def test_k0_against_mpmath(ctx50):
             assert abs(special.bessel_k0(z, ctx50) - ref) <= abs(ref) * ctx50.tolerance(4)
 
 
+@pytest.mark.parametrize("digits", [30, 50, 80])
+def test_k0_fixed_point_kernel_against_mpmath(digits):
+    # the fixed-point series must stop past its peak even where a negative
+    # term floors to -1 (40 + 13i); both sides of the branch switch
+    # |z| = (prec + 12) ln 2 / 2; the lower half-plane; and the pi/4 ray,
+    # where Re K0(x e^{i pi/4}) = ker x (DLMF 10.61.2)
+    ctx = hp.with_precision(digits)
+    switch = (ctx.prec_bits + 12) * math.log(2) / 2
+    with ctx.scoped():
+        zs = [mpc(40, 13), mpc(46, 0.5), mpc(3, -4)]
+        for r in (switch - 1e-6, switch + 1e-6):
+            zs += [mpf(r), r * mp.expjpi(mpf(-1) / 5)]
+        for z in zs:
+            ref = mp.besselk(0, z)
+            assert abs(special.bessel_k0(z, ctx) - ref) <= abs(ref) * ctx.tolerance(4), z
+        for x in (mpf(1) / 3, mpf(7), mpf(30), mpf(2 * switch)):
+            ref = mp.ker(0, x)
+            v = special.bessel_k0(x * mp.expjpi(mpf(1) / 4), ctx).real
+            assert abs(v - ref) <= abs(ref) * ctx.tolerance(4), x
+
+
 def test_k0_domain(ctx50):
     with pytest.raises(special.DomainError):
         special.bessel_k0(mpc(-1, 1), ctx50)
