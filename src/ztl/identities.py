@@ -335,11 +335,8 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
             return z ** 2 * (mp.euler + mp.log(r / mp.pi) - zp_over_z) + om
 
         lhs = alpha ** (-2 * m) * bracket(alpha)
-        blk = mpf(0)
-        for j, q in enumerate(bernoulli_block_coeffs(2, m)):
-            blk += mpf(q.numerator) / q.denominator * alpha ** (2 * j) * beta ** (2 * m + 2 - 2 * j)
         sgn = -1 if m % 2 else 1
-        rhs = sgn * beta ** (-2 * m) * bracket(beta) - mpf(2) ** (4 * m) * mp.pi * blk
+        rhs = sgn * beta ** (-2 * m) * bracket(beta) + 2 * bernoulli_block(2, m, alpha, beta, ctx)
     return _report("dixit", 2, m, theta, ctx, lhs, rhs, t0)
 
 
@@ -421,16 +418,15 @@ def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
 
 def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationReport:
     """Odd-m specialization at alpha = beta = pi: the weighted series at
-    rho = (2 pi)^k against the derivative term plus an explicit Bernoulli sum."""
+    rho = (2 pi)^k against the derivative term plus pi^{km}/2 times the
+    Bernoulli block at alpha = beta = pi."""
     check_params("lerch", k, m)
     t0 = time.perf_counter()
     with ctx.scoped():
         rho = (2 * mp.pi) ** k
         lhs = series_L(SeriesRequest(rho=rho, k=k, m=m), ctx).value
-        bsum = -sum(bernoulli_block_coeffs(k, m), Fraction(0))
         rhs = (derivative_term(k, m, rho, ctx)
-               + mpf(2) ** (2 * k * m - k) * mp.pi ** (2 * k * m + 2 * k - 1)
-               * mpf(bsum.numerator) / bsum.denominator)
+               + mp.pi ** (k * m) / 2 * bernoulli_block(k, m, mp.pi, mp.pi, ctx))
     return _report("lerch", k, m, None, ctx, lhs, rhs, t0)
 
 

@@ -9,13 +9,16 @@ Psi strategies:
 
 The weighted series sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n) is evaluated by
 folding the divisor sum into the contour integral (one quadrature instead of
-thousands); the explicit sum survives as a cross-check strategy. For k = 2
-that sum is one Dirichlet convolution: the Bessel argument of Psi's closed
-form depends only on N = j n, so it costs one K0 per N, with the weights
-d * (d n^{-(2m+1)}) from the divisor sieve.
+thousands); the explicit sum survives as a cross-check strategy for
+k in {1, 2}. There it is one Dirichlet convolution: the kernel argument of
+Psi's closed form depends only on N = j n, so it costs one kernel
+(e^{-z} for k = 1, a Bessel-K0 pair for k = 2) per N, with the weights
+d_k * (d_k n^{-(2m+1)}) from the divisor sieve.
 
-Both folds integrate ``mellin.VerticalProduct``; the Bessel-pair, kernel and
-explicit sums truncate through ``special.sum_until_negligible``.
+Both folds integrate ``mellin.VerticalProduct``. Every literal divisor
+series (Psi's k = 2 closed form, ``term_sum`` and the ``terms`` series) is
+one ``_kernel_sum``: sum_N weight(N) kernel(z N), truncated by
+``special.sum_until_negligible``.
 """
 
 from __future__ import annotations
@@ -84,48 +87,63 @@ class SeriesValue:
 
 
 # ---------------------------------------------------------------------------
-# divisor tables, grown on demand and shared per k
+# divisor tables and series weights, grown on demand by doubling
 
 _DIV_CACHE: dict[int, special.DivisorTable] = {}
+_WEIGHT_CACHE: dict[tuple[int, int], list[int]] = {}   # (k, m) -> [A(0), A(1), ...]
+
+
+def _table_size(upto: int) -> int:
+    size = 256
+    while size < upto:
+        size *= 2
+    return size
 
 
 def divisor_counts(k: int, upto: int) -> special.DivisorTable:
     tab = _DIV_CACHE.get(k)
     if tab is None or len(tab) < upto:
-        size = 256
-        while size < upto:
-            size *= 2
-        tab = special.divisor_sieve(k, size)
+        tab = special.divisor_sieve(k, _table_size(upto))
         _DIV_CACHE[k] = tab
     return tab
 
 
-# m -> [A(0), A(1), ...], exact ints of the k = 2 series weights; grown on
-# demand like the divisor tables
-_WEIGHT_CACHE: dict[int, list[int]] = {}
-
-
-def series_weights(m: int, upto: int) -> list[int]:
-    """Ints A(N), N <= upto at least, with a(N) = A(N) / N^{e+}: the k = 2
-    weights a = d * (d n^{-e}), e = 2m+1, e+ = max(e, 0), as one sum over
+def series_weights(k: int, m: int, upto: int) -> list[int]:
+    """Ints A(N), N <= upto at least, with a(N) = A(N) / N^{e+}: the weights
+    a = d_k * (d_k n^{-e}), e = 2m+1, e+ = max(e, 0), as one sum over
     N = n j. Then n^{-e} = n^{e+ - e} j^{e+} / N^{e+}, so
-    A(N) = sum_{n j = N} d(n) d(j) n^{e+ - e} j^{e+}."""
-    A = _WEIGHT_CACHE.get(m)
+    A(N) = sum_{n j = N} d_k(n) d_k(j) n^{e+ - e} j^{e+}."""
+    A = _WEIGHT_CACHE.get((k, m))
     if A is None or len(A) <= upto:
-        size = 256
-        while size < upto:
-            size *= 2
+        size = _table_size(upto)
         e = 2 * m + 1
         ep = max(e, 0)
-        d = divisor_counts(2, size)
+        d = divisor_counts(k, size)
         dj = [0] + [d.d(j) * j ** ep for j in range(1, size + 1)]
         A = [0] * (size + 1)
         for n in range(1, size + 1):
             wn = d.d(n) * n ** (ep - e)
             for j in range(1, size // n + 1):
                 A[n * j] += wn * dj[j]
-        _WEIGHT_CACHE[m] = A
+        _WEIGHT_CACHE[k, m] = A
     return A
+
+
+def _kernel(k: int, ctx: PrecisionContext):
+    """G_k with Psi_{rho,k}(x) = sum_j d_k(j) G_k(rho j x), k in {1, 2}:
+    e^{-z}, and the Bessel pair 2 Re K0(2 e^{i pi/4} sqrt(z)) with
+    e^{i pi/4} computed once."""
+    if k == 1:
+        return lambda z: mp.exp(-z)
+    eps = mp.expjpi(mpf(1) / 4)
+    return lambda z: 2 * special.bessel_k0(2 * eps * mp.sqrt(z), ctx).real
+
+
+def _kernel_sum(weight, kernel, z, ctx, run: int, cap: int, what: str):
+    """sum_{N >= 1} weight(N) kernel(z N) by ``special.sum_until_negligible``:
+    (acc, last term, N)."""
+    return special.sum_until_negligible(lambda N: weight(N) * kernel(z * N),
+                                        ctx, run, cap, what)
 
 
 # ---------------------------------------------------------------------------
@@ -151,22 +169,15 @@ def _psi_closed(k, rho, x, ctx) -> PsiValue:
         v = 1 / mp.expm1(rho * x)
         return PsiValue(value=v, error_estimate=abs(v) * mpf(10) ** (-ctx.working_dps),
                         strategy="closed_form")
-    # k=2: sum_j d(j) [K0(2 eps sqrt(rho j x)) + conjugate]
-    eps = mp.expjpi(mpf(1) / 4)
-
-    def term(j):
-        return (divisor_counts(2, j).d(j) * 2
-                * special.bessel_k0(2 * eps * mp.sqrt(rho * j * x), ctx).real)
-
-    acc, last, _ = special.sum_until_negligible(term, ctx, 3, 10 ** 6,
-                                                "Bessel series for Psi (k=2)")
+    acc, last, _ = _kernel_sum(lambda j: divisor_counts(2, j).d(j), _kernel(2, ctx), rho * x,
+                               ctx, 3, 10 ** 6, "Bessel series for Psi (k=2)")
     return PsiValue(value=acc, error_estimate=abs(last), strategy="closed_form")
 
 
 def _psi_term_sum(k, rho, x, ctx) -> PsiValue:
-    acc, last, _ = special.sum_until_negligible(
-        lambda j: divisor_counts(k, j).d(j) * mellin.psi_kernel(k, rho * j * x, ctx),
-        ctx, 3, 10 ** 5, "kernel series for Psi")
+    acc, last, _ = _kernel_sum(lambda j: divisor_counts(k, j).d(j),
+                               lambda z: mellin.psi_kernel(k, z, ctx), rho * x,
+                               ctx, 3, 10 ** 5, "kernel series for Psi")
     return PsiValue(value=acc, error_estimate=abs(last), strategy="term_sum")
 
 
@@ -188,14 +199,18 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
     """sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n).
 
     ``fold`` turns the divisor sum into zeta^k(2m+1+s) inside one line
-    integral (valid for Re(s) above both 1 and -2m); ``terms`` sums the
-    series literally with adaptive truncation and is kept as an oracle. For
-    k = 2, ``terms`` sums sum_N a(N) 2 Re K0(2 e^{i pi/4} sqrt(rho N)) with
-    a = d * (d n^{-(2m+1)}), one K0 per N, and ``terms_used`` is that N; for
-    other k it sums Psi per n.
+    integral (valid for Re(s) above both 1 and -2m). ``terms`` sums the
+    series literally and is kept as an oracle, for k in {1, 2} only (raises
+    DomainError otherwise): Psi's kernel argument rho j n depends on N = j n
+    alone, so the double sum is sum_N a(N) G_k(rho N) with the Dirichlet
+    convolution a = d_k * (d_k n^{-(2m+1)}), one kernel per N, and
+    ``terms_used`` is that N. At k = 1 it is the sigma-form Lambert series
+    sum_N sigma_{-(2m+1)}(N) e^{-rho N}.
     """
     if strategy not in ("fold", "terms"):
         raise special.DomainError(f"unknown series strategy {strategy!r}")
+    if strategy == "terms" and req.k > 2:
+        raise special.DomainError("the terms strategy is only available for k in {1, 2}")
     with ctx.scoped():
         rho = mpf(req.rho)
         k, m = req.k, req.m
@@ -207,27 +222,7 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
             v = mellin.line_integral(f, settings, ctx, conj_symmetric=True)
             return SeriesValue(value=v, terms_used=None, strategy="fold")
 
-        if k == 2:
-            return _series_k2_terms(rho, m, req.N_max, ctx)
-
-        def term(n):
-            pv = psi(PsiRequest(rho=rho, k=k, x=mpf(n)), ctx)
-            return divisor_counts(k, n).d(n) * mp.power(n, -(2 * m + 1)) * pv.value
-
-        acc, _, n = special.sum_until_negligible(term, ctx, 5, req.N_max, "weighted series")
-        return SeriesValue(value=acc, terms_used=n, strategy="terms")
-
-
-def _series_k2_terms(rho, m, N_max, ctx) -> SeriesValue:
-    # sum_n d(n) n^{-(2m+1)} sum_j d(j) 2 Re K0(2 e^{i pi/4} sqrt(rho j n)):
-    # the Bessel argument depends on N = j n only, so the double sum is one
-    # sum over N with weight a(N), one K0 per N
-    eps = mp.expjpi(mpf(1) / 4)
-    ep = max(2 * m + 1, 0)
-
-    def term(N):
-        return (series_weights(m, N)[N] * mp.power(N, -ep)
-                * 2 * special.bessel_k0(2 * eps * mp.sqrt(rho * N), ctx).real)
-
-    acc, _, N = special.sum_until_negligible(term, ctx, 5, N_max, "weighted series")
-    return SeriesValue(value=acc, terms_used=N, strategy="terms")
+        ep = max(2 * m + 1, 0)
+        acc, _, N = _kernel_sum(lambda N: series_weights(k, m, N)[N] * mp.power(N, -ep),
+                                _kernel(k, ctx), rho, ctx, 5, req.N_max, "weighted series")
+        return SeriesValue(value=acc, terms_used=N, strategy="terms")

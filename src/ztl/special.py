@@ -280,7 +280,8 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
 def _zeta_run_chunk(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
     if sigma >= mpf(1) / 2:
         return _zeta_em_run(sigma, t0, dt, count, prec)
-    # functional equation branch, all factors advanced multiplicatively
+    # functional equation branch: zeta(1-s) from the run kernel, chi(s)
+    # evaluated in full at every node
     zvals = _zeta_em_run(1 - sigma, -t0, -dt, count, prec)
     s0 = mpc(sigma, t0)
     idt = mpc(0, dt)
@@ -631,25 +632,6 @@ def lambert_series(a, y, ctx: PrecisionContext):
             raise DomainError("lambert_series requires y > 0")
         acc, _, _ = sum_until_negligible(lambda n: mp.power(n, a) / mp.expm1(n * y),
                                          ctx, 3, 10 ** 7, "lambert_series")
-        return +acc
-
-
-def lambert_series_sigma_form(a, y, ctx: PrecisionContext):
-    """Independent evaluation through sigma_a(n) e^{-ny}; cross-check route."""
-    with ctx.scoped():
-        a = mpf(a)
-        y = mpf(y)
-        if y <= 0:
-            raise DomainError("lambert_series requires y > 0")
-
-        def term(n):
-            sig = mpf(0)
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    sig += mp.power(d, a)
-            return sig * mp.exp(-n * y)
-
-        acc, _, _ = sum_until_negligible(term, ctx, 3, 10 ** 5, "sigma-form series")
         return +acc
 
 

@@ -49,15 +49,16 @@ def test_k2_equals_half_omega(ctx50):
     # with rho = 4: sum d(j) [K0(4 eps sqrt(j)) + conj] = Psi_{4,2}(1)
     with ctx50.scoped():
         eps = mp.expjpi(mpf(1) / 4)
+        tab = special.divisor_sieve(2, 4096)
         acc = mpf(0)
         j = 1
         while True:
-            term = (special.divisor_sieve(2, j).d(j)
-                    * 2 * special.bessel_k0(4 * eps * mp.sqrt(j), ctx50).real)
+            term = tab.d(j) * 2 * special.bessel_k0(4 * eps * mp.sqrt(j), ctx50).real
             acc += term
             if abs(term) < ctx50.tolerance(-5):
                 break
             j += 1
+            assert j <= len(tab)
         v = psi(PsiRequest(rho=4, k=2, x=1), ctx50)
         assert abs(v.value - acc) < ctx50.tolerance(5)
 
@@ -109,17 +110,20 @@ def test_k2_magnitude_decays_but_sign_oscillates(ctx30):
 
 
 def test_series_k1_m1_equals_lambert(ctx50):
+    # the terms strategy at k = 1 is the sigma form sum sigma_-e(N) e^(-rho N)
     with ctx50.scoped():
-        L = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=1), ctx50)
-        lam = special.lambert_series(-3, 2 * mp.pi, ctx50)
-        assert abs(L.value - lam) < ctx50.tolerance(5)
+        for m, strategy in ((1, "fold"), (1, "terms"), (0, "terms")):
+            L = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=m), ctx50, strategy=strategy)
+            lam = special.lambert_series(-2 * m - 1, 2 * mp.pi, ctx50)
+            assert abs(L.value - lam) < ctx50.tolerance(5), (m, strategy)
 
 
 def test_series_k1_negative_m_equals_lambert(ctx50):
     with ctx50.scoped():
-        L = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=-2), ctx50)
-        lam = special.lambert_series(3, 2 * mp.pi, ctx50)
-        assert abs(L.value - lam) < ctx50.tolerance(5)
+        for strategy in ("fold", "terms"):
+            L = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=-2), ctx50, strategy=strategy)
+            lam = special.lambert_series(3, 2 * mp.pi, ctx50)
+            assert abs(L.value - lam) < ctx50.tolerance(5), strategy
 
 
 def test_series_terms_strategy_reports_count(ctx30):
@@ -143,6 +147,15 @@ def test_series_k2_fold_vs_bessel_double_sum(ctx30):
                 acc += (tab.d(n) * tab.d(j) * mp.power(n, -3)
                         * 2 * special.bessel_k0(2 * eps * mp.sqrt(rho * j * n), ctx30).real)
         assert abs(L.value - acc) < ctx30.tolerance(8)
+
+
+def test_series_terms_rejects_k3_before_summing(ctx30, monkeypatch):
+    def no_sum(*args, **kwargs):
+        raise AssertionError("summed a k = 3 terms series")
+
+    monkeypatch.setattr(special, "sum_until_negligible", no_sum)
+    with pytest.raises(special.DomainError):
+        series_L(SeriesRequest(rho=600, k=3, m=-1), ctx30, strategy="terms")
 
 
 def test_series_nmax_exhaustion(ctx30):
