@@ -216,11 +216,14 @@ class VerticalProduct:
         return to_fixed(re, W), to_fixed(im, W)
 
     def _product_run(self, c, t0, dt, count):
-        """P at c + i(t0 + u dt), u < count."""
+        """P at c + i(t0 + u dt), u < count. The eps = +1 zeta factors, whose
+        abscissas a + c differ by integers, share one vertical run."""
         vals = [mpc(1)] * count
+        up = tuple(a + c for (a, eps, _) in self.zeta_factors if eps == 1)
+        runs = iter(special.zeta_vertical_run(up, t0, dt, count, self.ctx) if up else ())
         for (a, eps, power) in self.zeta_factors:
-            run = special.zeta_vertical_run(a + eps * c, eps * t0, eps * dt,
-                                            count, self.ctx)
+            run = next(runs) if eps == 1 else special.zeta_vertical_run(
+                a - c, -t0, -dt, count, self.ctx)
             for u in range(count):
                 vals[u] *= run[u] ** power
         if self.gamma_power:

@@ -173,6 +173,48 @@ def check_bessel_k_half(ctx):
         return res < tol, f"K_1/2(1) residual {mp.nstr(res, 3)}"
 
 
+def check_bessel_k0_mpmath(ctx):
+    """special.bessel_k0 against mpmath's besselk at 30 more bits, on
+    arg z = pi/4: |z| = 3.5, 8.9 and 15.5, where Dixit's Bessel-pair sums
+    spend their K0 calls, and 48, where the series branch cancels about
+    e^{1.7|z|}. Relative gap at most 2^-(prec-3)."""
+    gaps = []
+    for r in ("3.5", "8.9", "15.5", "48"):
+        with ctx.scoped():
+            z = mpf(r) * mp.expjpi(mpf(1) / 4)
+            v = special.bessel_k0(z, ctx)
+        with mp.workprec(ctx.prec_bits + 30):
+            ref = mp.besselk(0, z)
+            gaps.append(abs(v - ref) / abs(ref))
+    worst = max(gaps)
+    with ctx.scoped():
+        return (worst <= mpf(2) ** (3 - ctx.prec_bits),
+                f"|z| in 3.5..48, worst relative gap {mp.nstr(worst, 3)}")
+
+
+def check_zeta_run_paired(ctx):
+    """One paired zeta run, abscissas 2.5 + d and 2.5 sharing a Dirichlet
+    pass weighted by n^d, against a one-abscissa run of each, d in
+    {1, 3, 7}, 200 nodes from t = -5 (over a chunk boundary). Relative gap
+    below 2^-prec: each side is within 2^-(prec+8) of zeta before its final
+    rounding by half a unit."""
+    gaps = []
+    with ctx.scoped():
+        t0, dt = mpf(-5), mpf(1) / 8
+        for d in (1, 3, 7):
+            sigmas = (mpf(2.5) + d, mpf(2.5))
+            special.clear_caches()
+            paired = special.zeta_vertical_run(sigmas, t0, dt, 200, ctx)
+            special.clear_caches()
+            for sigma, run in zip(sigmas, paired):
+                single = special.zeta_vertical_run(sigma, t0, dt, 200, ctx)
+                gaps += [abs(a - b) / abs(b) for a, b in zip(run, single)]
+        special.clear_caches()
+        worst = max(gaps)
+        return (worst < mpf(2) ** -ctx.prec_bits,
+                f"{len(gaps)} nodes, worst relative gap {mp.nstr(worst, 3)}")
+
+
 def check_line_conjugate_symmetry(ctx):
     with ctx.scoped():
         f = lambda s: special.gamma(s, ctx) * mpf(3) ** (-s)
@@ -290,13 +332,26 @@ def check_psi_scaling(ctx):
 
 
 def check_series_tail(ctx):
+    """The k = 1, m = 1 ``terms`` series at rho = 1/5, hundreds of terms:
+    capped at its own terms_used N it returns the same sum, capped at N - 1
+    it raises ArithmeticError, and it agrees with the fold to
+    10^(5-digits) max(|fold|, 1)."""
     with ctx.scoped():
-        a = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=1, N_max=50_000), ctx,
-                     strategy="terms")
-        b = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=1, N_max=100_000), ctx,
-                     strategy="terms")
-        res = abs(a.value - b.value)
-        return res < ctx.tolerance(5), f"N_max doubling moved sum by {mp.nstr(res, 3)}"
+        rho = mpf(1) / 5
+        a = series_L(SeriesRequest(rho=rho, k=1, m=1), ctx, strategy="terms")
+        N = a.terms_used
+        b = series_L(SeriesRequest(rho=rho, k=1, m=1, N_max=N), ctx, strategy="terms")
+        if b.value != a.value:
+            return False, f"capped at N = {N} the sum moved by {mp.nstr(abs(b.value - a.value), 3)}"
+        try:
+            series_L(SeriesRequest(rho=rho, k=1, m=1, N_max=N - 1), ctx, strategy="terms")
+            return False, f"capped at N - 1 = {N - 1} the sum did not raise"
+        except ArithmeticError:
+            pass
+        fold = series_L(SeriesRequest(rho=rho, k=1, m=1), ctx).value
+        res = abs(a.value - fold) / max(abs(fold), 1)
+        return (res < ctx.tolerance(5),
+                f"N = {N} terms, cap N - 1 raises, |terms - fold| = {mp.nstr(res, 3)}")
 
 
 def check_bessel_pair_convolution(ctx):
@@ -427,6 +482,8 @@ CHECKS = [
     ("special", "divisor_multiplicative", check_divisor_multiplicative),
     ("special", "lambert_two_forms", check_lambert_two_forms),
     ("special", "bessel_k_half", check_bessel_k_half),
+    ("special", "bessel_k0_mpmath", check_bessel_k0_mpmath),
+    ("special", "zeta_run_paired", check_zeta_run_paired),
     ("mellin", "line_conjugate_symmetry", check_line_conjugate_symmetry),
     ("mellin", "mesh_refinement_geometric", check_mesh_refinement_geometric),
     ("mellin", "cauchy_order_zero", check_cauchy_order_zero),

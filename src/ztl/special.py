@@ -14,7 +14,11 @@ Three evaluation surfaces coexist:
 * ``zeta_vertical_run`` for equispaced nodes on a vertical line, where the
   Dirichlet powers n^{-s} advance by one fixed-point complex multiplication
   (four integer multiplies) per node. The quadrature engine spends nearly
-  all its time here. The scalar zeta is the same kernel on one node.
+  all its time here. Abscissas that differ by integers, such as zeta(s) and
+  zeta(2m+1+s) on a fold line, share one pass: the largest abscissa's terms
+  are rotated once, and each abscissa sigma_0 - d adds them with the exact
+  int weight n^d, under ceil(d log2 N) more guard bits. The scalar zeta is
+  the same kernel on one node and one abscissa.
 * Taylor jets at s = 0 (``zeta_jet``, ``log_gamma1_jet`` and the
   ``series_*`` helpers), from which the identities' residue terms are read.
 
@@ -31,6 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, log_int_fixed, to_fixed
@@ -168,7 +174,7 @@ def _zeta_raw(s: mpc, prec: int) -> mpc:
         return mpc(-0.5)
     if s.real < 0 and s.imag == 0 and s.real == int(s.real) and int(s.real) % 2 == 0:
         return mpc(0)   # trivial zeros
-    return _zeta_run_chunk(s.real, s.imag, mpf(0), 1, prec)[0]
+    return _zeta_run_chunk((s.real,), s.imag, mpf(0), 1, prec)[0][0]
 
 
 def zeta(s, ctx: PrecisionContext):
@@ -245,21 +251,22 @@ _PRODUCT_MEMO: dict = {}
 
 
 def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
-    """[zeta(sigma + i(t0 + u*dt)) for u in range(count)], memoized per node."""
+    """[zeta(sigma + i(t0 + u*dt)) for u in range(count)], memoized per node.
+
+    ``sigma`` may be a tuple of abscissas that differ by integers; then the
+    result is one such run per abscissa, from one shared Dirichlet pass. A
+    node is computed when any abscissa misses it, and every abscissa's value
+    there is memoized under its own key, so a call returns the same values
+    whichever of its abscissas the memo already held."""
     with ctx.scoped():
         prec = ctx.prec_bits
-        sigma = mpf(sigma)
+        sigmas = tuple(map(mpf, sigma)) if isinstance(sigma, tuple) else (mpf(sigma),)
         t0 = mpf(t0)
         dt = mpf(dt)
-        skey = sigma._mpf_
-        out: list = [None] * count
-        missing: list[int] = []
-        for u in range(count):
-            t = t0 + u * dt
-            v = _ZLINE_MEMO.get((skey, t._mpf_, prec))
-            if v is None:
-                missing.append(u)
-            out[u] = v
+        skeys = [s._mpf_ for s in sigmas]
+        tkeys = [(t0 + u * dt)._mpf_ for u in range(count)]
+        out = [[_ZLINE_MEMO.get((skey, tk, prec)) for tk in tkeys] for skey in skeys]
+        missing = [u for u in range(count) if any(run[u] is None for run in out)]
         # group missing indices into runs of consecutive u
         i = 0
         while i < len(missing):
@@ -268,36 +275,46 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
                 j += 1
             for c0 in range(missing[i], missing[j] + 1, _RUN_CHUNK):
                 c1 = min(c0 + _RUN_CHUNK - 1, missing[j])
-                vals = _zeta_run_chunk(sigma, t0 + c0 * dt, dt, c1 - c0 + 1, prec)
-                for u, v in zip(range(c0, c1 + 1), vals):
-                    t = t0 + u * dt
-                    _ZLINE_MEMO[(skey, t._mpf_, prec)] = v
-                    out[u] = v
+                runs = _zeta_run_chunk(sigmas, t0 + c0 * dt, dt, c1 - c0 + 1, prec)
+                for skey, run, vals in zip(skeys, out, runs):
+                    for u, v in zip(range(c0, c1 + 1), vals):
+                        _ZLINE_MEMO[(skey, tkeys[u], prec)] = run[u] = v
             i = j + 1
-        return out
+        return out if isinstance(sigma, tuple) else out[0]
 
 
-def _zeta_run_chunk(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
-    if sigma >= mpf(1) / 2:
-        return _zeta_em_run(sigma, t0, dt, count, prec)
+def _zeta_run_chunk(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> list:
+    """One run per abscissa, as ``_zeta_em_run``; an abscissa below 1/2
+    takes the functional equation, on its own."""
+    if min(sigmas) >= mpf(1) / 2:
+        return _zeta_em_run(sigmas, t0, dt, count, prec)
+    if len(sigmas) > 1:
+        return [_zeta_run_chunk((s,), t0, dt, count, prec)[0] for s in sigmas]
     # functional equation branch: zeta(1-s) from the run kernel, chi(s)
     # evaluated in full at every node
-    zvals = _zeta_em_run(1 - sigma, -t0, -dt, count, prec)
+    sigma = sigmas[0]
+    zvals = _zeta_em_run((1 - sigma,), -t0, -dt, count, prec)[0]
     s0 = mpc(sigma, t0)
     idt = mpc(0, dt)
     out = []
     for u in range(count):
         s = s0 + u * idt
         out.append(_chi(s, prec) * zvals[u])
-    return out
+    return [out]
 
 
 # The run kernel works in fixed point: a real x is the Python int
-# floor(x * 2^W), W = prec + _GUARD, as in mpmath's own zeta sums
-# (libmp.gammazeta.mpc_zetasum). A product costs one int multiply and a shift,
-# with none of the normalizing and rounding of an mpf/mpc operation. Truncation
-# errors add up to at most ~2^17 units of 2^-W over a 96-node chunk of a
-# few hundred terms, which the guard keeps below the 2^-(prec+8) EM target.
+# floor(x * 2^W), as in mpmath's own zeta sums (libmp.gammazeta.mpc_zetasum).
+# A product costs one int multiply and a shift, with none of the normalizing
+# and rounding of an mpf/mpc operation. Abscissas sigma_0 - d_i share one
+# Dirichlet pass over n^{-(sigma_0 + it)}, sigma_0 the largest, and each
+# weights it by the exact int n^{d_i}. Truncation errors of the shared terms
+# add up to at most ~2^17 units of 2^-W over a 96-node chunk of a few hundred
+# terms, and the weights (at most N^d, d = max d_i) scale them by at most
+# 2^ceil(d log2 N): W = prec + _GUARD + ceil(d log2 N) keeps every sum below
+# the 2^-(prec+8) EM target, as W = prec + _GUARD does for one abscissa. The
+# EM tail divides by N^2 2^{2W} as a shift by 2W and a floor division by N^2,
+# the same floor as one division by the (2W+14)-bit product.
 _GUARD = 24
 _EM_RATIO: dict[tuple[int, int], int] = {}     # (j, W) -> C_{j+1}/C_j, fixed
 
@@ -345,52 +362,82 @@ def _powers_fixed(N: int, x: int, y: int, W: int) -> tuple[list[int], list[int]]
     return re, im
 
 
-def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
-    """Euler-Maclaurin zeta at sigma + i(t0 + u*dt), u < count; requires
-    sigma >= 1/2. A 1-node call (dt unused) is the scalar evaluator."""
+def _zeta_em_run(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> list:
+    """Euler-Maclaurin zeta at sigma + i(t0 + u*dt), u < count, one run per
+    sigma in ``sigmas``: abscissas >= 1/2 that differ by integers. A 1-node
+    call (dt unused) is the scalar evaluator."""
+    s0 = max(sigmas)
+    ds = [int(s0 - sigma) for sigma in sigmas]
+    if any(s0 - sigma != d for sigma, d in zip(sigmas, ds)):
+        raise DomainError("abscissas of one zeta run must differ by integers")
     tmax = abs(t0) if count == 1 else max(abs(t0), abs(t0 + (count - 1) * dt))
-    abs_s = math.hypot(float(sigma), float(tmax))
+    abs_s = math.hypot(float(s0), float(tmax))
     N, J = _em_sizes(abs_s, prec)
     if N < 2:
         N = 2
-    W = prec + _GUARD
+    W = prec + _GUARD + math.ceil(max(ds) * math.log2(N))
     one = 1 << W
-    sre = to_fixed(sigma._mpf_, W)
     sim = to_fixed(t0._mpf_, W)
-    # Dirichlet sum 1 + sum_{2 <= n < N} n^{-s_u}
-    bre, bim = _powers_fixed(N, sre, sim, W)
-    if count == 1:
-        are = [one + sum(bre[2:N])]
-        aim = [sum(bim[2:N])]
-    else:
-        dim = to_fixed(dt._mpf_, W)
+    dim = to_fixed(dt._mpf_, W)
+    # Dirichlet sums 1 + sum_{2 <= n < N} n^{d_i} n^{-s_0 - it_u}, the shared
+    # terms rotated by n^{-i dt} from node to node
+    bre, bim = _powers_fixed(N, to_fixed(s0._mpf_, W), sim, W)
+    if count > 1:
         cre, cim = _powers_fixed(N, 0, dim, W)   # step rotations n^{-i dt}
-        are = [one] * count
-        aim = [0] * count
-        for n in range(2, N):
-            xr, xi, yr, yi = bre[n], bim[n], cre[n], cim[n]
-            for u in range(count):
-                are[u] += xr
-                aim[u] += xi
+    acc = [([one] * count, [0] * count) for _ in ds]
+    steps = range(count - 1)
+    for n in range(2, N):
+        xr, xi = bre[n], bim[n]
+        xsr, xsi = [xr], [xi]
+        if count > 1:
+            yr, yi = cre[n], cim[n]
+            for _ in steps:
                 xr, xi = (xr * yr - xi * yi) >> W, (xr * yi + xi * yr) >> W
-    # per node: N^{-s} (N/(s-1) + 1/2 + sum_j T_j) with
-    # T_j = C_j (s)_{2j-1} N^{1-2j} by T_{j+1} = T_j (C_{j+1}/C_j) (s+2j-1)(s+2j) / N^2
-    nre, nim = bre[N], bim[N]
+                xsr.append(xr)
+                xsi.append(xi)
+        for (are, aim), d in zip(acc, ds):
+            if d:
+                w = repeat(n ** d)
+                are[:] = map(add, are, map(mul, xsr, w))
+                aim[:] = map(add, aim, map(mul, xsi, w))
+            else:
+                are[:] = map(add, are, xsr)
+                aim[:] = map(add, aim, xsi)
+    # N^{-s_0} on every node; N^{-s_i} = N^{d_i} N^{-s_0}
+    nres, nims = [bre[N]], [bim[N]]
+    for _ in steps:
+        nre, nim = nres[-1], nims[-1]
+        nres.append((nre * cre[N] - nim * cim[N]) >> W)
+        nims.append((nre * cim[N] + nim * cre[N]) >> W)
+    sims = [sim + u * dim for u in range(count)]
+    ratios = [_em_ratio(j, W) for j in range(1, J)]
+    return [_em_tail(to_fixed(sigma._mpf_, W), sims, are, aim, N ** d, nres, nims, N, J,
+                     ratios, W, prec)
+            for sigma, d, (are, aim) in zip(sigmas, ds, acc)]
+
+
+def _em_tail(sre: int, sims: list, are: list, aim: list, w: int, nres: list, nims: list,
+             N: int, J: int, ratios: list, W: int, prec: int) -> list:
+    """Add the Euler-Maclaurin tail to the Dirichlet sums (are, aim) at
+    s_u = sre + i sims[u], N^{-s_u} = w (nres[u] + i nims[u]), and round:
+    per node N^{-s} (N/(s-1) + 1/2 + sum_j T_j) with T_j = C_j (s)_{2j-1}
+    N^{1-2j}, by T_{j+1} = T_j (C_{j+1}/C_j) (s+2j-1)(s+2j) / N^2."""
+    one = 1 << W
     # |N^{-s}|^2 is the same on the whole line; the floor keeps an underflowed
     # N^{-s} (huge sigma) from dividing by zero, where the tail is 0 anyway
-    nmag = max(nre * nre + nim * nim, 1)
-    ratios = [_em_ratio(j, W) for j in range(1, J)]
-    D = (N * N) << (2 * W)
+    nmag = max(w * w * (nres[0] * nres[0] + nims[0] * nims[0]), 1)
+    N2 = N * N
     a = sre - one
     out = []
-    for u in range(count):
+    for u, sim in enumerate(sims):
+        nre, nim = w * nres[u], w * nims[u]
         den = a * a + sim * sim
         ere = ((N * a) << (2 * W)) // den + (one >> 1)
         eim = ((-N * sim) << (2 * W)) // den
         vre = are[u] + ((nre * ere - nim * eim) >> W)
         vim = aim[u] + ((nre * eim + nim * ere) >> W)
         # stop once |N^{-s} T_j| < 2^-(prec+8) |value|
-        lim = ((vre * vre + vim * vim) << (2 * (_GUARD - 8))) // nmag
+        lim = ((vre * vre + vim * vim) << (2 * (W - prec - 8))) // nmag
         p2 = (sre * sre - sim * sim) >> W
         ps = (2 * sre * sim) >> W
         tre, tim = sre // (12 * N), sim // (12 * N)      # T_1 = s/(12N)
@@ -403,13 +450,11 @@ def _zeta_em_run(sigma: mpf, t0: mpf, dt: mpf, count: int, prec: int) -> list:
             qre = p2 + (4 * j - 1) * sre + (2 * j - 1) * 2 * j * one
             qim = ps + (4 * j - 1) * sim
             r = ratios[j - 1]
-            tre, tim = (tre * qre - tim * qim) * r // D, (tre * qim + tim * qre) * r // D
+            tre, tim = (((tre * qre - tim * qim) * r >> 2 * W) // N2,
+                        ((tre * qim + tim * qre) * r >> 2 * W) // N2)
         vre += (nre * sumre - nim * sumim) >> W
         vim += (nre * sumim + nim * sumre) >> W
         out.append(_from_fixed(vre, vim, W, prec))
-        if u + 1 < count:
-            nre, nim = (nre * cre[N] - nim * cim[N]) >> W, (nre * cim[N] + nim * cre[N]) >> W
-            sim += dim
     return out
 
 

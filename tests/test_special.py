@@ -166,6 +166,45 @@ def test_zeta_vertical_run_matches_scalar(digits, sigma, t0, dt, count):
             assert run[0] == special.zeta(mpc(sigma, t0), ctx)
 
 
+@pytest.mark.parametrize("digits", [30, 50, 80])
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_paired_zeta_run_keeps_its_guard_bits(digits, d):
+    # abscissas 2.5 + d and 2.5 share one Dirichlet pass whose terms the
+    # lower one weights by n^d: without ceil(d log2 N) more guard bits, 80
+    # digits lose 7 bits at d = 3 and 37 at d = 7
+    ctx = hp.with_precision(digits)
+    special.clear_caches()
+    with ctx.scoped():
+        sigmas = (mpf(2.5) + d, mpf(2.5))
+        t0, dt = mpf(-3), mpf(1) / 16
+        runs = special.zeta_vertical_run(sigmas, t0, dt, 96, ctx)
+    assert len(runs) == 2 and all(len(run) == 96 for run in runs)
+    with mp.workprec(ctx.prec_bits + 60):
+        worst = max(abs(v - ref) / abs(ref)
+                    for sigma, run in zip(sigmas, runs)
+                    for u, v in enumerate(run)
+                    for ref in [mp.zeta(mpc(sigma, t0 + u * dt))])
+        assert worst <= mpf(2) ** -(ctx.prec_bits - 3)
+
+
+def test_paired_zeta_run_ignores_a_partly_warm_memo(ctx50):
+    with ctx50.scoped():
+        sigmas, t0, dt = (mpf(3.5), mpf(2.5)), mpf(-2), mpf(1) / 8
+        special.clear_caches()
+        cold = special.zeta_vertical_run(sigmas, t0, dt, 120, ctx50)
+        special.clear_caches()
+        special.zeta_vertical_run(sigmas[1], t0, dt, 120, ctx50)   # one abscissa warm
+        assert special.zeta_vertical_run(sigmas, t0, dt, 120, ctx50) == cold
+        assert special.zeta_vertical_run(sigmas, t0, dt, 120, ctx50) == cold   # all warm
+        # each value is memoized under its own abscissa
+        assert [special.zeta_vertical_run(s, t0, dt, 120, ctx50) for s in sigmas] == cold
+
+
+def test_zeta_run_abscissas_must_differ_by_integers(ctx50):
+    with pytest.raises(special.DomainError):
+        special.zeta_vertical_run((mpf(3.5), mpf(2.25)), 0, mpf(1) / 8, 4, ctx50)
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli
 
