@@ -57,15 +57,19 @@ class IdentityParams:
 @dataclass(frozen=True)
 class Identity:
     """One row of ``IDENTITIES``: ``run(k, m, theta, ctx)``, which ignores
-    a fixed k and the axes the identity lacks, and ``m_rule``, the
-    identity's own condition on m beside m != 0."""
+    a fixed k and the axes the identity lacks; ``line_m(m)``, the m of the
+    fold line (``psi.fold_line``) its series sit on, None for an identity
+    that makes no Mellin line; ``m_rule``, the identity's own condition on m
+    beside m != 0; and the theta ``verify`` uses when none is given."""
 
     run: Callable
+    line_m: Callable[[int], int] | None = None
     fixed_k: int | None = None
     has_m: bool = True
     has_theta: bool = True
     m_rule: Callable[[int], bool] = lambda m: True
     m_message: str = ""
+    default_theta: str = "0"
 
     def default_m(self) -> int:
         """The smallest positive m the identity accepts."""
@@ -76,17 +80,21 @@ class Identity:
 # (a tracer's wrapper, a test double) is the one that runs.
 IDENTITIES = {
     "main": Identity(lambda k, m, theta, ctx: verify_main(
-        IdentityParams(k=k, m=m, theta=ctx.mpf(theta)), ctx)),
+        IdentityParams(k=k, m=m, theta=ctx.mpf(theta)), ctx), line_m=lambda m: m),
     "ramanujan": Identity(lambda k, m, theta, ctx: verify_ramanujan_classical(m, theta, ctx),
                           fixed_k=1),
     "dixit": Identity(lambda k, m, theta, ctx: verify_dixit(m, theta, ctx), fixed_k=2),
+    # theta = 0 with the default m = 2 would check nothing (verify_eisenstein)
     "eisenstein": Identity(lambda k, m, theta, ctx: verify_eisenstein(k, m, theta, ctx),
-                           m_rule=lambda m: m > 1, m_message="eisenstein requires m > 1"),
+                           line_m=lambda m: -m,
+                           m_rule=lambda m: m > 1, m_message="eisenstein requires m > 1",
+                           default_theta="0.5"),
     "quasimodular": Identity(lambda k, m, theta, ctx: verify_quasimodular(k, theta, ctx),
-                             has_m=False),
-    "eta": Identity(lambda k, m, theta, ctx: verify_eta(k, theta, ctx), has_m=False),
+                             line_m=lambda m: -1, has_m=False),
+    "eta": Identity(lambda k, m, theta, ctx: verify_eta(k, theta, ctx),
+                    line_m=lambda m: 0, has_m=False),
     "lerch": Identity(lambda k, m, theta, ctx: verify_lerch_general(k, m, ctx),
-                      has_theta=False, m_rule=lambda m: m % 2 == 1,
+                      line_m=lambda m: m, has_theta=False, m_rule=lambda m: m % 2 == 1,
                       m_message="lerch requires odd m"),
 }
 IDENTITY_NAMES = tuple(IDENTITIES)
@@ -128,6 +136,9 @@ class VerificationReport:
     tolerance: mpf
     passed: bool
     elapsed: float
+    # False when the two sides are one expression minus itself by
+    # construction: the cell checks nothing, and neither passes nor fails
+    checked: bool = True
 
     def csv_row(self, timing: bool = False) -> str:
         ndig = self.digits
@@ -150,11 +161,13 @@ class VerificationReport:
             "rel_res": mp.nstr(self.rel_residual, 3),
             "passed": self.passed,
         }
+        if not self.checked:
+            d["checked"] = False
         d["seconds"] = round(self.elapsed, 3) if timing else 0
         return d
 
     def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
+        status = "NO CHECK" if not self.checked else "PASS" if self.passed else "FAIL"
         return (f"{status} {self.identity} k={self.k} m={self.m} theta={self.theta}: "
                 f"lhs={mp.nstr(self.lhs, 20)} rhs={mp.nstr(self.rhs, 20)} "
                 f"rel_residual={mp.nstr(self.rel_residual, 3)} "
@@ -168,7 +181,7 @@ def pass_tolerance(ctx: PrecisionContext) -> mpf:
     return ctx.tolerance(slack)
 
 
-def _report(identity, k, m, theta, ctx, lhs, rhs, t0) -> VerificationReport:
+def _report(identity, k, m, theta, ctx, lhs, rhs, t0, checked=True) -> VerificationReport:
     with ctx.scoped():
         abs_res = abs(lhs - rhs)
         rel_res = abs_res / max(abs(lhs), abs(rhs), mpf(1))
@@ -178,7 +191,8 @@ def _report(identity, k, m, theta, ctx, lhs, rhs, t0) -> VerificationReport:
             theta="" if theta is None else mp.nstr(mpf(theta), 12),
             digits=ctx.digits, lhs=lhs, rhs=rhs,
             abs_residual=abs_res, rel_residual=rel_res, tolerance=tol,
-            passed=bool(rel_res < tol), elapsed=time.perf_counter() - t0)
+            passed=checked and bool(rel_res < tol), elapsed=time.perf_counter() - t0,
+            checked=checked)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +356,13 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
 
 def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """Weight-2m Eisenstein-type transformation (m > 1): no Bernoulli block
-    survives on the right-hand side."""
+    survives on the right-hand side. At theta = 0 with m even, alpha = beta
+    makes each side one expression minus itself: the report is marked as no
+    check."""
     check_params("eisenstein", k, m)
     t0 = time.perf_counter()
     with ctx.scoped():
+        checked = m % 2 == 1 or mpf(theta) != 0
         alpha, beta = alpha_beta(theta, ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         sa = (alpha ** k) ** m
@@ -354,7 +371,7 @@ def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> Verificat
                - sb * series_L(SeriesRequest(rho=rb, k=k, m=-m), ctx).value)
         rhs = (sa * derivative_term(k, -m, ra, ctx)
                - sb * derivative_term(k, -m, rb, ctx))
-    return _report("eisenstein", k, m, theta, ctx, lhs, rhs, t0)
+    return _report("eisenstein", k, m, theta, ctx, lhs, rhs, t0, checked)
 
 
 def verify_quasimodular(k: int, theta, ctx: PrecisionContext) -> VerificationReport:

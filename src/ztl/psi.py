@@ -32,7 +32,7 @@ from . import special, mellin
 from .mellin import VerticalProduct
 
 __all__ = ["PsiRequest", "PsiValue", "SeriesRequest", "SeriesValue",
-           "psi", "series_L"]
+           "psi", "series_L", "fold_line"]
 
 PSI_STRATEGIES = ("auto", "inverse_mellin", "term_sum", "closed_form")
 
@@ -194,6 +194,16 @@ def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
 # ---------------------------------------------------------------------------
 # weighted divisor series
 
+def fold_line(m: int) -> tuple[float, frozenset[float]]:
+    """The abscissa c = max(1, -2m) + 3/2 of the folded line of weight
+    n^{-(2m+1)}, right of both zeta poles (s = 1 and s = -2m), and the
+    abscissas {c, c + 2m + 1} of its two zeta factors. Half-integers, so
+    the floats are exact; the zeta runs of a line are memoized per abscissa,
+    so lines with one abscissa set share them."""
+    c = max(1, -2 * m) + 1.5
+    return c, frozenset((c, c + 2 * m + 1))
+
+
 def series_L(req: SeriesRequest, ctx: PrecisionContext,
              strategy: str = "fold") -> SeriesValue:
     """sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n).
@@ -215,7 +225,7 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
         rho = mpf(req.rho)
         k, m = req.k, req.m
         if strategy == "fold":
-            c = mpf(max(1, -2 * m)) + mpf(3) / 2
+            c = mpf(fold_line(m)[0])
             f = VerticalProduct(ctx, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
                                 gamma_power=k, cos_power=k - 1, neg_s_base=rho)
             settings = mellin.line_settings(ctx, c, poly_power=float(k) * (float(c) - 0.5))

@@ -148,7 +148,13 @@ def _em_sizes(abs_s: float, prec: int) -> tuple[int, int]:
     """Pick (N, J) so the Euler-Maclaurin remainder is below 2^-(prec+8).
 
     Remainder behaves like ((|s| + 2J) / (2 pi N))^(2J); minimize the cost
-    N + 3.2 J over a small grid of J.
+    N + 3.2 J over a small grid of J. The weight 3.2 was fitted to an
+    older mpf loop and is kept for the int kernel, whose time barely
+    depends on it: ``_em_tail`` stops on its own term test, so J is only a
+    cap. On a cold 50-digit (3, -1) fold line the 27 paired runs took
+    0.70-1.28 s at weight 3.2, 0.61-1.25 s at 0.3 to 1.5 and 0.82-1.33 s
+    at 6 (2 cores, python backend); the machine's drift was wider than the
+    differences between weights.
     """
     target = (prec + 8) * math.log(2)
     best = None

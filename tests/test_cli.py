@@ -76,14 +76,101 @@ def test_sweep_csv_and_json(tmp_path, capsys):
 
 
 def test_sweep_deterministic_across_jobs(tmp_path, capsys):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["sweep", "--identity", "ramanujan,lerch", "--k", "1", "--m", "1,3",
+    # three line keys (lerch m = 1, lerch m = 3, eta) and four line-free
+    # ramanujan cells, so the batches differ at every --jobs
+    args = ["sweep", "--identity", "ramanujan,lerch,eta", "--k", "1", "--m", "1,3",
             "--theta", "0,0.5", "--digits", "30"]
-    assert run(args + ["--out", str(a), "--jobs", "1"]) == 0
-    assert run(args + ["--out", str(b), "--jobs", "2"]) == 0
+    tasks = cli._sweep_grid(cli._build_config(cli.build_parser().parse_args(args)))
+    assert len({cli._line_key(t) for t in tasks} - {None}) == 3
+    outs = []
+    for jobs in ("1", "2", "3", "5"):
+        outs.append(tmp_path / f"jobs{jobs}.csv")
+        assert run(args + ["--out", str(outs[-1]), "--jobs", jobs]) == 0
     capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
+    assert len(outs[0].read_text().splitlines()) == len(tasks) + 1
+    assert all(o.read_bytes() == outs[0].read_bytes() for o in outs[1:])
+
+
+def _grid(identity, k, m, theta, digits=30):
+    return cli._sweep_grid(cli.RunConfig(identity=identity.split(","), k_list=k, m_list=m,
+                                         theta_list=theta, digits=digits))
+
+
+def _assert_partition(batches, tasks):
+    # every cell in exactly one non-empty batch, in grid order within it
+    assert sorted(i for b in batches for i in b) == list(range(len(tasks)))
+    assert all(b and b == sorted(b) for b in batches)
+
+
+def test_plan_batches_cells_by_fold_line():
+    # the benchmark's sweep grid: eta's line (c = 5/2) has the zeta
+    # abscissas {5/2, 7/2} of the m = -1 line (c = 7/2), so it and
+    # quasimodular ride with that line; dixit and ramanujan make no line
+    tasks = _grid("main,dixit,quasimodular,eta,lerch,ramanujan", [1, 2], [1, -1], ["0.45"])
+    batches = cli._plan(tasks, 2)
+    _assert_partition(batches, tasks)
+    names = [sorted({(tasks[i][0], tasks[i][2]) for i in b}) for b in batches]
+    assert names == [
+        [("eta", None), ("lerch", -1), ("main", -1), ("quasimodular", None)],
+        [("dixit", -1), ("dixit", 1), ("lerch", 1), ("main", 1),
+         ("ramanujan", -1), ("ramanujan", 1)]]
+    assert cli._plan(tasks, 1) == [list(range(len(tasks)))]
+
+
+def test_plan_splits_one_line_across_workers():
+    # a theta scan of one line is split into contiguous halves
+    tasks = _grid("main", [1], [1], ["0", "0.1", "0.2", "0.3", "0.4"])
+    assert {cli._line_key(t) for t in tasks} == {(30, frozenset((2.5, 5.5)))}
+    batches = cli._plan(tasks, 2)
+    _assert_partition(batches, tasks)
+    assert sorted(batches) == [[0, 1], [2, 3, 4]]
+    # more workers than cells: one cell each
+    batches = cli._plan(tasks[:3], 8)
+    _assert_partition(batches, tasks[:3])
+    assert len(batches) == 3
+
+
+def test_sweep_failing_cell_inside_a_pool_batch(tmp_path, monkeypatch, capsys):
+    real_verify = identities.verify
+
+    def verify(identity, *, k, m, theta, ctx):
+        if theta == "0":
+            raise mellin.QuadratureError("forced failure", trace=[{"h": 0.5, "marker": 7}])
+        return real_verify(identity, k=k, m=m, theta=theta, ctx=ctx)
+
+    # patched before the pool forks, so the workers run the double
+    monkeypatch.setattr(identities, "verify", verify)
+    args = ["sweep", "--identity", "main", "--k", "1", "--m", "1",
+            "--theta", "0,0.3,0.5,1.0", "--digits", "15"]
+    tasks = cli._sweep_grid(cli._build_config(cli.build_parser().parse_args(args)))
+    assert cli._plan(tasks, 2) == [[0, 1], [2, 3]]
+    out = tmp_path / "r.csv"
+    assert run(args + ["--jobs", "2", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    # the failing cell leads its batch; the cell after it still ran, and
+    # the rows are in grid order
+    assert [ln.split(",")[3] for ln in out.read_text().splitlines()[1:]] == ["0.3", "0.5", "1.0"]
+    assert [ln.split(" theta=")[1].split(":")[0] for ln in captured.out.splitlines()] == [
+        "0.3", "0.5", "1.0"]
+    assert "non-convergence in main k=1 m=1 theta=0: forced failure" in captured.err
+    assert '"marker": 7' in captured.err
+
+
+def test_vacuous_eisenstein_cell_is_no_check(tmp_path, capsys):
+    # theta = 0 makes alpha = beta, so with m even each side is X - X
+    out = tmp_path / "r.json"
+    assert run(["verify", "eisenstein", "--k", "1", "--theta", "0", "--digits", "15",
+                "--format", "json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("NO CHECK eisenstein k=1 m=2 theta=0.0:") and "PASS" not in printed
+    [row] = json.loads(out.read_text())
+    assert row["passed"] is False and row["checked"] is False
+    # odd m at theta = 0, and the default theta, are real checks
+    assert run(["verify", "eisenstein", "--k", "1", "--m", "3", "--theta", "0",
+                "--digits", "15"]) == 0
+    assert capsys.readouterr().out.startswith("PASS eisenstein k=1 m=3 theta=0.0:")
+    assert run(["verify", "eisenstein", "--k", "1", "--digits", "15"]) == 0
+    assert capsys.readouterr().out.startswith("PASS eisenstein k=1 m=2 theta=0.5:")
 
 
 def test_sweep_empty_grid_exit_two(capsys):
