@@ -19,8 +19,7 @@ from mpmath import mp, mpf
 
 from .hp import PrecisionContext
 from . import special, mellin
-from .mellin import VerticalProduct
-from .psi import SeriesRequest, series_L
+from .psi import SeriesRequest, dual_product, series_L
 
 __all__ = [
     "IdentityParams", "VerificationReport", "Identity", "IDENTITIES",
@@ -91,8 +90,9 @@ IDENTITIES = {
                            default_theta="0.5"),
     "quasimodular": Identity(lambda k, m, theta, ctx: verify_quasimodular(k, theta, ctx),
                              line_m=lambda m: -1, has_m=False),
+    # theta = 0 would check nothing (verify_eta)
     "eta": Identity(lambda k, m, theta, ctx: verify_eta(k, theta, ctx),
-                    line_m=lambda m: 0, has_m=False),
+                    line_m=lambda m: 0, has_m=False, default_theta="0.5"),
     "lerch": Identity(lambda k, m, theta, ctx: verify_lerch_general(k, m, ctx),
                       line_m=lambda m: m, has_theta=False, m_rule=lambda m: m % 2 == 1,
                       m_message="lerch requires odd m"),
@@ -420,9 +420,12 @@ def eta_derivative_term(k: int, theta, ctx: PrecisionContext):
 
 
 def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
-    """Generalized Dedekind-eta transformation (weight n^-1 series)."""
+    """Generalized Dedekind-eta transformation (weight n^-1 series). At
+    theta = 0, alpha = beta makes the lhs one expression minus itself and
+    the rhs exactly 0: the report is marked as no check."""
     t0 = time.perf_counter()
     with ctx.scoped():
+        checked = mpf(theta) != 0
         alpha, beta = alpha_beta(theta, ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         lhs = (series_L(SeriesRequest(rho=ra, k=k, m=0), ctx).value
@@ -430,7 +433,7 @@ def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
         sign = -1 if k % 2 else 1
         rhs = (sign * mpf(2) ** k * eta_derivative_term(k, theta, ctx)
                - sign * 2 * mp.pi ** (k - 1) * (beta ** k - alpha ** k) / mpf(24) ** k)
-    return _report("eta", k, None, theta, ctx, lhs, rhs, t0)
+    return _report("eta", k, None, theta, ctx, lhs, rhs, t0, checked)
 
 
 def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationReport:
@@ -463,13 +466,10 @@ def lambda_line_value(k: int, m: int, rho, ctx: PrecisionContext):
     """(1/2 pi i) integral over Re(s) = -2m - 5/2 of
     zeta^k(2m+1+s) zeta^k(1-s) cos^{-1}(pi s/2) (rho/(2pi)^k)^{-s}."""
     with ctx.scoped():
-        rho = mpf(rho)
         lam = mpf(-2 * m) - mpf(5) / 2
-        X = rho / (2 * mp.pi) ** k
-        f = VerticalProduct(ctx, zeta_factors=[(2 * m + 1, 1, k), (1, -1, k)],
-                            cos_power=-1, neg_s_base=X)
         settings = mellin.lambda_line_settings(ctx, lam, poly_power=2.0 * k + 1)
-        return mellin.line_integral(f, settings, ctx, conj_symmetric=True)
+        return mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx,
+                                    conj_symmetric=True)
 
 
 def self_duality_check(k: int, m: int, rho, ctx: PrecisionContext):

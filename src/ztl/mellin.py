@@ -161,9 +161,11 @@ class VerticalProduct:
     scan, every psi kernel of a term sum. ``special._PRODUCT_MEMO`` keeps it
     as one ``special.FixedLine`` per line (zeta factors, g, p, c, precision,
     grid): fixed-point ints by node index. Missing nodes are computed in
-    maximal equispaced runs: zeta factors ride the memoized vertical-run
-    evaluator, Gamma nodes hit the scalar memo, cos advances by one multiply
-    per node. Of base^{-s}, the rotation e^{-it ln base} is seeded once per
+    maximal equispaced runs: all zeta factors ride one memoized vertical run
+    (an eps = -1 factor by conjugation), cos advances by one multiply per
+    node. Lines that carry zeta factors are Gamma-free (``psi.dual_product``);
+    Gamma^g serves the Meijer-G kernel ``psi_kernel``, its nodes from the
+    scalar memo. Of base^{-s}, the rotation e^{-it ln base} is seeded once per
     chunk and advances by one fixed-point complex multiply per node, and
     base^{-c} rides on the chunk's scale: a known node costs two int complex
     multiplies.
@@ -216,16 +218,17 @@ class VerticalProduct:
         return to_fixed(re, W), to_fixed(im, W)
 
     def _product_run(self, c, t0, dt, count):
-        """P at c + i(t0 + u dt), u < count. The eps = +1 zeta factors, whose
-        abscissas a + c differ by integers, share one vertical run."""
+        """P at c + i(t0 + u dt), u < count. Every zeta factor rides one
+        vertical run: zeta(a - s) is the conjugate of zeta(a - c + it), and
+        the abscissas a + eps c differ by integers (c is a half-integer)."""
         vals = [mpc(1)] * count
-        up = tuple(a + c for (a, eps, _) in self.zeta_factors if eps == 1)
-        runs = iter(special.zeta_vertical_run(up, t0, dt, count, self.ctx) if up else ())
-        for (a, eps, power) in self.zeta_factors:
-            run = next(runs) if eps == 1 else special.zeta_vertical_run(
-                a - c, -t0, -dt, count, self.ctx)
-            for u in range(count):
-                vals[u] *= run[u] ** power
+        if self.zeta_factors:
+            runs = special.zeta_vertical_run(
+                tuple(a + eps * c for (a, eps, _) in self.zeta_factors), t0, dt, count, self.ctx)
+            for (_, eps, power), run in zip(self.zeta_factors, runs):
+                for u in range(count):
+                    v = run[u] if eps == 1 else run[u].conjugate()
+                    vals[u] *= v ** power
         if self.gamma_power:
             g = self.gamma_power
             for u in range(count):

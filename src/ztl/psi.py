@@ -15,10 +15,10 @@ Psi's closed form depends only on N = j n, so it costs one kernel
 (e^{-z} for k = 1, a Bessel-K0 pair for k = 2) per N, with the weights
 d_k * (d_k n^{-(2m+1)}) from the divisor sieve.
 
-Both folds integrate ``mellin.VerticalProduct``. Every literal divisor
-series (Psi's k = 2 closed form, ``term_sum`` and the ``terms`` series) is
-one ``_kernel_sum``: sum_N weight(N) kernel(z N), truncated by
-``special.sum_until_negligible``.
+Both folds integrate one Gamma-free ``mellin.VerticalProduct``,
+``dual_product``. Every literal divisor series (Psi's k = 2 closed form,
+``term_sum`` and the ``terms`` series) is one ``_kernel_sum``:
+sum_N weight(N) kernel(z N), truncated by ``special.sum_until_negligible``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import special, mellin
 from .mellin import VerticalProduct
 
 __all__ = ["PsiRequest", "PsiValue", "SeriesRequest", "SeriesValue",
-           "psi", "series_L", "fold_line"]
+           "psi", "series_L", "dual_product", "fold_line"]
 
 PSI_STRATEGIES = ("auto", "inverse_mellin", "term_sum", "closed_form")
 
@@ -182,26 +182,44 @@ def _psi_term_sum(k, rho, x, ctx) -> PsiValue:
 
 
 def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
-    f = VerticalProduct(ctx, zeta_factors=[(0, 1, k)], gamma_power=k,
-                        cos_power=k - 1, neg_s_base=rho * x)
+    """(1/2 pi i) times the integral over Re(s) = 5/2 of
+    Gamma^k(s) zeta^k(s) cos^{k-1}(pi s/2) (rho x)^{-s}, as 2^-k times the
+    integral of its Gamma-free form ``dual_product(k, rho x)``."""
     settings = mellin.line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
     tr: list = []
-    v = mellin.line_integral(f, settings, ctx, conj_symmetric=True, trace=tr)
+    v = mellin.line_integral(dual_product(k, rho * x, ctx), settings, ctx,
+                             conj_symmetric=True, trace=tr)
     est = mpf(tr[-1]["estimate"]) if tr and tr[-1]["estimate"] else ctx.tolerance()
-    return PsiValue(value=v, error_estimate=est, strategy="inverse_mellin")
+    return PsiValue(value=mp.ldexp(v, -k), error_estimate=mp.ldexp(est, -k),
+                    strategy="inverse_mellin")
 
 
 # ---------------------------------------------------------------------------
 # weighted divisor series
 
+def dual_product(k: int, rho, ctx: PrecisionContext, m: int | None = None) -> VerticalProduct:
+    """zeta^k(2m+1+s) zeta^k(1-s) cos^{-1}(pi s/2) (rho/(2 pi)^k)^{-s}, with
+    no zeta^k(2m+1+s) when m is None. By the functional equation
+    (DLMF 25.4.1), Gamma(s) zeta(s) cos(pi s/2) = zeta(1-s) (2 pi)^s / 2, so
+    2^-k times this product is Gamma^k(s) zeta^k(s) cos^{k-1}(pi s/2)
+    rho^{-s} (times zeta^k(2m+1+s)): the integrand of the divisor fold and
+    of Psi's inverse Mellin line, with no Gamma. Its zeta factors share one
+    vertical run, at the abscissas c + 2m + 1 and 1 - c."""
+    with ctx.scoped():
+        factors = ([] if m is None else [(2 * m + 1, 1, k)]) + [(1, -1, k)]
+        return VerticalProduct(ctx, zeta_factors=factors, cos_power=-1,
+                               neg_s_base=mpf(rho) / (2 * mp.pi) ** k)
+
+
 def fold_line(m: int) -> tuple[float, frozenset[float]]:
     """The abscissa c = max(1, -2m) + 3/2 of the folded line of weight
     n^{-(2m+1)}, right of both zeta poles (s = 1 and s = -2m), and the
-    abscissas {c, c + 2m + 1} of its two zeta factors. Half-integers, so
-    the floats are exact; the zeta runs of a line are memoized per abscissa,
-    so lines with one abscissa set share them."""
+    abscissas {c + 2m + 1, 1 - c} of the zeta runs of its Gamma-free
+    product (``dual_product``). Half-integers, so the floats are exact; the
+    zeta runs of a line are memoized per abscissa, so lines with one
+    abscissa set share them."""
     c = max(1, -2 * m) + 1.5
-    return c, frozenset((c, c + 2 * m + 1))
+    return c, frozenset((c + 2 * m + 1, 1 - c))
 
 
 def series_L(req: SeriesRequest, ctx: PrecisionContext,
@@ -209,13 +227,15 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
     """sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n).
 
     ``fold`` turns the divisor sum into zeta^k(2m+1+s) inside one line
-    integral (valid for Re(s) above both 1 and -2m). ``terms`` sums the
-    series literally and is kept as an oracle, for k in {1, 2} only (raises
-    DomainError otherwise): Psi's kernel argument rho j n depends on N = j n
-    alone, so the double sum is sum_N a(N) G_k(rho N) with the Dirichlet
-    convolution a = d_k * (d_k n^{-(2m+1)}), one kernel per N, and
-    ``terms_used`` is that N. At k = 1 it is the sigma-form Lambert series
-    sum_N sigma_{-(2m+1)}(N) e^{-rho N}.
+    integral (valid for Re(s) above both 1 and -2m) of
+    Gamma^k(s) zeta^k(s) zeta^k(2m+1+s) cos^{k-1}(pi s/2) rho^{-s}, taken
+    as 2^-k times the integral of its Gamma-free form ``dual_product``.
+    ``terms`` sums the series literally and is kept as an oracle, for k in
+    {1, 2} only (raises DomainError otherwise): Psi's kernel argument rho j n
+    depends on N = j n alone, so the double sum is sum_N a(N) G_k(rho N)
+    with the Dirichlet convolution a = d_k * (d_k n^{-(2m+1)}), one kernel
+    per N, and ``terms_used`` is that N. At k = 1 it is the sigma-form
+    Lambert series sum_N sigma_{-(2m+1)}(N) e^{-rho N}.
     """
     if strategy not in ("fold", "terms"):
         raise special.DomainError(f"unknown series strategy {strategy!r}")
@@ -226,11 +246,10 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
         k, m = req.k, req.m
         if strategy == "fold":
             c = mpf(fold_line(m)[0])
-            f = VerticalProduct(ctx, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
-                                gamma_power=k, cos_power=k - 1, neg_s_base=rho)
             settings = mellin.line_settings(ctx, c, poly_power=float(k) * (float(c) - 0.5))
-            v = mellin.line_integral(f, settings, ctx, conj_symmetric=True)
-            return SeriesValue(value=v, terms_used=None, strategy="fold")
+            v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx,
+                                     conj_symmetric=True)
+            return SeriesValue(value=mp.ldexp(v, -k), terms_used=None, strategy="fold")
 
         ep = max(2 * m + 1, 0)
         acc, _, N = _kernel_sum(lambda N: series_weights(k, m, N)[N] * mp.power(N, -ep),

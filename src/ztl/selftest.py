@@ -19,7 +19,8 @@ from mpmath import mp, mpf, mpc
 from .hp import (const_euler_gamma, const_log_2pi, const_pi, real_from_str,
                  real_to_str, with_precision)
 from . import special, mellin
-from .psi import PsiRequest, SeriesRequest, divisor_counts, psi, series_L
+from .psi import (PsiRequest, SeriesRequest, divisor_counts, dual_product, fold_line,
+                  psi, series_L)
 from . import identities
 
 _SEED = 20240131
@@ -197,8 +198,12 @@ def check_zeta_run_paired(ctx):
     pass weighted by n^d, against a one-abscissa run of each, d in
     {1, 3, 7}, 200 nodes from t = -5 (over a chunk boundary). Relative gap
     below 2^-prec: each side is within 2^-(prec+8) of zeta before its final
-    rounding by half a unit."""
-    gaps = []
+    rounding by half a unit. Then the zeta runs of the fold lines of
+    m = -2 and -7 (``psi.fold_line``: abscissas 2.5 and -4.5, 2.5 and
+    -14.5), 24 nodes from t = -3, against mpmath's zeta at prec + 60:
+    relative error below 2^-(prec-3), which the kernel keeps left of 1
+    only by stopping its tail later there."""
+    gaps, fold_gaps = [], []
     with ctx.scoped():
         t0, dt = mpf(-5), mpf(1) / 8
         for d in (1, 3, 7):
@@ -210,9 +215,54 @@ def check_zeta_run_paired(ctx):
                 single = special.zeta_vertical_run(sigma, t0, dt, 200, ctx)
                 gaps += [abs(a - b) / abs(b) for a, b in zip(run, single)]
         special.clear_caches()
-        worst = max(gaps)
-        return (worst < mpf(2) ** -ctx.prec_bits,
-                f"{len(gaps)} nodes, worst relative gap {mp.nstr(worst, 3)}")
+        t0, dt = mpf(-3), mpf(1) / 2
+        for m in (-2, -7):
+            sigmas = tuple(map(mpf, sorted(fold_line(m)[1])))
+            runs = special.zeta_vertical_run(sigmas, t0, dt, 24, ctx)
+            with mp.workprec(ctx.prec_bits + 60):
+                fold_gaps += [abs(v - ref) / abs(ref)
+                              for sigma, run in zip(sigmas, runs) for u, v in enumerate(run)
+                              for ref in [mp.zeta(mpc(sigma, t0 + u * dt))]]
+        special.clear_caches()
+        worst, fold_worst = max(gaps), max(fold_gaps)
+        return (worst < mpf(2) ** -ctx.prec_bits
+                and fold_worst <= mpf(2) ** (3 - ctx.prec_bits),
+                f"{len(gaps)} nodes, worst relative gap {mp.nstr(worst, 3)}; "
+                f"{len(fold_gaps)} fold-line nodes, worst relative error "
+                f"{mp.nstr(fold_worst, 3)}")
+
+
+def check_gamma_free_fold(ctx):
+    """The fold product in its Gamma form, Gamma^k(s) zeta^k(s)
+    zeta^k(s+2m+1) cos^{k-1}(pi s/2), against 2^-k (2 pi)^{ks} times its
+    Gamma-free form ``psi.dual_product``, whose zeta^k(1-s) stands for
+    Gamma^k zeta^k(s) by the functional equation, on the fold line's
+    nodes: four 96-node chunks from t = 0, 6, 30 and 60 for (k, m) in
+    {(1, 1), (3, -1), (4, -2), (2, 7), (1, -7)}. The two share only
+    zeta(s+2m+1). Relative gap below 2^(12-prec): both forms advance
+    cos(pi s/2) by one multiply per node, so a chunk's last node carries
+    up to about 96 k roundings; the worst node reads 2^7.8 to 2^9.0 times
+    2^-prec at 15 to 80 digits."""
+    worst = mpf(0)
+    with ctx.scoped():
+        dt = mpf(1) / 8
+        for k, m in ((1, 1), (3, -1), (4, -2), (2, 7), (1, -7)):
+            c = mpf(fold_line(m)[0])
+            gamma_form = mellin.VerticalProduct(ctx, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
+                                                gamma_power=k, cos_power=k - 1)
+            free = dual_product(k, 1, ctx, m)
+            for t0 in (0, 6, 30, 60):
+                a = gamma_form._product_run(c, mpf(t0), dt, 96)
+                b = free._product_run(c, mpf(t0), dt, 96)
+                # (2 pi)^{ks} at 20 more bits: its phase reaches k t ln(2 pi) ~ 440
+                with mp.workprec(ctx.prec_bits + 20):
+                    for u in range(96):
+                        s = mpc(c, t0 + u * dt)
+                        ref = mp.exp(k * s * mp.log(2 * mp.pi)) * b[u] / 2 ** k
+                        worst = max(worst, abs(a[u] - ref) / abs(a[u]))
+    return (worst < mpf(2) ** (12 - ctx.prec_bits),
+            f"1920 nodes, worst relative gap {mp.nstr(worst, 3)} "
+            f"= 2^{float(mp.log(worst, 2)) + ctx.prec_bits:.1f} 2^-prec")
 
 
 def check_line_conjugate_symmetry(ctx):
@@ -489,6 +539,7 @@ CHECKS = [
     ("mellin", "cauchy_order_zero", check_cauchy_order_zero),
     ("mellin", "truncation_bound", check_truncation_bound),
     ("mellin", "fixed_line_cancellation", check_fixed_line_cancellation),
+    ("psi", "gamma_free_fold", check_gamma_free_fold),
     ("psi", "strategy_agreement", check_psi_strategy_agreement),
     ("psi", "shape", check_psi_shape),
     ("psi", "scaling_symmetry", check_psi_scaling),

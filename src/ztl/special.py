@@ -1,7 +1,7 @@
 """Scalar special functions and integer sequences.
 
 Complex Gamma (mpmath's, behind a pole check and a memo), complex Riemann
-zeta (Euler-Maclaurin + functional equation), exact rational Bernoulli
+zeta (Euler-Maclaurin at every abscissa), exact rational Bernoulli
 numbers, modified Bessel K0 (its series and asymptotic sums in fixed point)
 and K_{1/2}, the Piltz divisor sieve, Lambert series, and
 ``sum_until_negligible``, the one adaptive truncation rule that every slowly
@@ -18,7 +18,10 @@ Three evaluation surfaces coexist:
   zeta(2m+1+s) on a fold line, share one pass: the largest abscissa's terms
   are rotated once, and each abscissa sigma_0 - d adds them with the exact
   int weight n^d, under ceil(d log2 N) more guard bits. The scalar zeta is
-  the same kernel on one node and one abscissa.
+  the same kernel on one node and one abscissa. There is no
+  functional-equation branch: left of 1 the kernel tightens its tail's
+  stopping test, and a run entirely left of 1 carries more guard bits, by
+  ceil((1 - sigma) log2 N) each.
 * Taylor jets at s = 0 (``zeta_jet``, ``log_gamma1_jet`` and the
   ``series_*`` helpers), from which the identities' residue terms are read.
 
@@ -121,25 +124,20 @@ def _gamma_raw(s: mpc) -> mpc:
     return mp.gamma(s)
 
 
-def _gamma_memoized(s: mpc, prec: int) -> mpc:
-    key = (s.real._mpf_, s.imag._mpf_, prec)
-    v = _GAMMA_MEMO.get(key)
-    if v is None:
-        v = _gamma_raw(s)
-        _GAMMA_MEMO[key] = v
-    return v
-
-
 def gamma(s, ctx: PrecisionContext):
     """Gamma(s) to working precision; PoleError at non-positive integers."""
     with ctx.scoped():
         s = mpc(s)
-        v = _gamma_memoized(s, ctx.prec_bits)
+        key = (s.real._mpf_, s.imag._mpf_, ctx.prec_bits)
+        v = _GAMMA_MEMO.get(key)
+        if v is None:
+            v = _gamma_raw(s)
+            _GAMMA_MEMO[key] = v
         return v.real if s.imag == 0 else v
 
 
 # ---------------------------------------------------------------------------
-# zeta: Euler-Maclaurin for Re(s) >= 1/2, functional equation below
+# zeta: Euler-Maclaurin at every abscissa
 
 _ZETA_MEMO: dict = {}
 
@@ -168,11 +166,6 @@ def _em_sizes(abs_s: float, prec: int) -> tuple[int, int]:
     return best[1], best[2]
 
 
-def _chi(s: mpc, prec: int) -> mpc:
-    # functional equation factor: zeta(s) = chi(s) zeta(1-s)
-    return 2 ** s * mp.pi ** (s - 1) * mp.sinpi(s / 2) * _gamma_memoized(1 - s, prec)
-
-
 def _zeta_raw(s: mpc, prec: int) -> mpc:
     if s == 1:
         raise PoleError("zeta pole at s=1")
@@ -180,7 +173,7 @@ def _zeta_raw(s: mpc, prec: int) -> mpc:
         return mpc(-0.5)
     if s.real < 0 and s.imag == 0 and s.real == int(s.real) and int(s.real) % 2 == 0:
         return mpc(0)   # trivial zeros
-    return _zeta_run_chunk((s.real,), s.imag, mpf(0), 1, prec)[0][0]
+    return _zeta_em_run((s.real,), s.imag, mpf(0), 1, prec)[0][0]
 
 
 def zeta(s, ctx: PrecisionContext):
@@ -281,32 +274,12 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
                 j += 1
             for c0 in range(missing[i], missing[j] + 1, _RUN_CHUNK):
                 c1 = min(c0 + _RUN_CHUNK - 1, missing[j])
-                runs = _zeta_run_chunk(sigmas, t0 + c0 * dt, dt, c1 - c0 + 1, prec)
+                runs = _zeta_em_run(sigmas, t0 + c0 * dt, dt, c1 - c0 + 1, prec)
                 for skey, run, vals in zip(skeys, out, runs):
                     for u, v in zip(range(c0, c1 + 1), vals):
                         _ZLINE_MEMO[(skey, tkeys[u], prec)] = run[u] = v
             i = j + 1
         return out if isinstance(sigma, tuple) else out[0]
-
-
-def _zeta_run_chunk(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> list:
-    """One run per abscissa, as ``_zeta_em_run``; an abscissa below 1/2
-    takes the functional equation, on its own."""
-    if min(sigmas) >= mpf(1) / 2:
-        return _zeta_em_run(sigmas, t0, dt, count, prec)
-    if len(sigmas) > 1:
-        return [_zeta_run_chunk((s,), t0, dt, count, prec)[0] for s in sigmas]
-    # functional equation branch: zeta(1-s) from the run kernel, chi(s)
-    # evaluated in full at every node
-    sigma = sigmas[0]
-    zvals = _zeta_em_run((1 - sigma,), -t0, -dt, count, prec)[0]
-    s0 = mpc(sigma, t0)
-    idt = mpc(0, dt)
-    out = []
-    for u in range(count):
-        s = s0 + u * idt
-        out.append(_chi(s, prec) * zvals[u])
-    return [out]
 
 
 # The run kernel works in fixed point: a real x is the Python int
@@ -318,8 +291,11 @@ def _zeta_run_chunk(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> l
 # add up to at most ~2^17 units of 2^-W over a 96-node chunk of a few hundred
 # terms, and the weights (at most N^d, d = max d_i) scale them by at most
 # 2^ceil(d log2 N): W = prec + _GUARD + ceil(d log2 N) keeps every sum below
-# the 2^-(prec+8) EM target, as W = prec + _GUARD does for one abscissa. The
-# EM tail divides by N^2 2^{2W} as a shift by 2W and a floor division by N^2,
+# the 2^-(prec+8) EM target, as W = prec + _GUARD does for one abscissa.
+# Left of 1 the sums grow like N^(1 - sigma) while zeta stays small, so when
+# even sigma_0 is below 1, W gains ceil((1 - sigma_0) log2 N) bits more; a
+# fold pair (c + 2m + 1, 1 - c) has sigma_0 >= 5/2 and gains none. The EM
+# tail divides by N^2 2^{2W} as a shift by 2W and a floor division by N^2,
 # the same floor as one division by the (2W+14)-bit product.
 _GUARD = 24
 _EM_RATIO: dict[tuple[int, int], int] = {}     # (j, W) -> C_{j+1}/C_j, fixed
@@ -370,8 +346,8 @@ def _powers_fixed(N: int, x: int, y: int, W: int) -> tuple[list[int], list[int]]
 
 def _zeta_em_run(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> list:
     """Euler-Maclaurin zeta at sigma + i(t0 + u*dt), u < count, one run per
-    sigma in ``sigmas``: abscissas >= 1/2 that differ by integers. A 1-node
-    call (dt unused) is the scalar evaluator."""
+    sigma in ``sigmas``: any abscissas that differ by integers, also left of
+    the critical line. A 1-node call (dt unused) is the scalar evaluator."""
     s0 = max(sigmas)
     ds = [int(s0 - sigma) for sigma in sigmas]
     if any(s0 - sigma != d for sigma, d in zip(sigmas, ds)):
@@ -381,7 +357,12 @@ def _zeta_em_run(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> list
     N, J = _em_sizes(abs_s, prec)
     if N < 2:
         N = 2
-    W = prec + _GUARD + math.ceil(max(ds) * math.log2(N))
+    lg = math.log2(N)
+
+    def excess(sigma):   # bits by which the sums outgrow zeta left of 1
+        return math.ceil(max(0, 1 - float(sigma)) * lg)
+
+    W = prec + _GUARD + math.ceil(max(ds) * lg) + excess(s0)
     one = 1 << W
     sim = to_fixed(t0._mpf_, W)
     dim = to_fixed(dt._mpf_, W)
@@ -418,16 +399,21 @@ def _zeta_em_run(sigmas: tuple, t0: mpf, dt: mpf, count: int, prec: int) -> list
     sims = [sim + u * dim for u in range(count)]
     ratios = [_em_ratio(j, W) for j in range(1, J)]
     return [_em_tail(to_fixed(sigma._mpf_, W), sims, are, aim, N ** d, nres, nims, N, J,
-                     ratios, W, prec)
+                     ratios, W, prec, excess(sigma))
             for sigma, d, (are, aim) in zip(sigmas, ds, acc)]
 
 
 def _em_tail(sre: int, sims: list, are: list, aim: list, w: int, nres: list, nims: list,
-             N: int, J: int, ratios: list, W: int, prec: int) -> list:
+             N: int, J: int, ratios: list, W: int, prec: int, excess: int) -> list:
     """Add the Euler-Maclaurin tail to the Dirichlet sums (are, aim) at
     s_u = sre + i sims[u], N^{-s_u} = w (nres[u] + i nims[u]), and round:
     per node N^{-s} (N/(s-1) + 1/2 + sum_j T_j) with T_j = C_j (s)_{2j-1}
-    N^{1-2j}, by T_{j+1} = T_j (C_{j+1}/C_j) (s+2j-1)(s+2j) / N^2."""
+    N^{1-2j}, by T_{j+1} = T_j (C_{j+1}/C_j) (s+2j-1)(s+2j) / N^2.
+
+    The terms stop once they fall below 2^-(prec+8) of the sum before the
+    tail. Left of 1 that sum exceeds zeta by up to about N^(1-sigma), which
+    the tail cancels, so the test is tightened by ``excess``, that factor in
+    bits: ceil((1 - sigma) log2 N), 0 from sigma = 1 on."""
     one = 1 << W
     # |N^{-s}|^2 is the same on the whole line; the floor keeps an underflowed
     # N^{-s} (huge sigma) from dividing by zero, where the tail is 0 anyway
@@ -442,8 +428,8 @@ def _em_tail(sre: int, sims: list, are: list, aim: list, w: int, nres: list, nim
         eim = ((-N * sim) << (2 * W)) // den
         vre = are[u] + ((nre * ere - nim * eim) >> W)
         vim = aim[u] + ((nre * eim + nim * ere) >> W)
-        # stop once |N^{-s} T_j| < 2^-(prec+8) |value|
-        lim = ((vre * vre + vim * vim) << (2 * (W - prec - 8))) // nmag
+        # stop once |N^{-s} T_j| < 2^-(prec+8+excess) |value|
+        lim = ((vre * vre + vim * vim) << (2 * (W - prec - 8))) // nmag >> 2 * excess
         p2 = (sre * sre - sim * sim) >> W
         ps = (2 * sre * sim) >> W
         tre, tim = sre // (12 * N), sim // (12 * N)      # T_1 = s/(12N)

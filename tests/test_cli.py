@@ -103,24 +103,28 @@ def _assert_partition(batches, tasks):
 
 
 def test_plan_batches_cells_by_fold_line():
-    # the benchmark's sweep grid: eta's line (c = 5/2) has the zeta
-    # abscissas {5/2, 7/2} of the m = -1 line (c = 7/2), so it and
-    # quasimodular ride with that line; dixit and ramanujan make no line
+    # the benchmark's sweep grid makes three line groups: the m = -1 line
+    # (zeta abscissas {5/2, -5/2}) with quasimodular, the m = 1 line
+    # ({11/2, -3/2}) and eta's line ({7/2, -3/2}); dixit and ramanujan make
+    # no line
     tasks = _grid("main,dixit,quasimodular,eta,lerch,ramanujan", [1, 2], [1, -1], ["0.45"])
+    assert {cli._line_key(t) for t in tasks} == {
+        None, (30, frozenset((2.5, -2.5))), (30, frozenset((5.5, -1.5))),
+        (30, frozenset((3.5, -1.5)))}
     batches = cli._plan(tasks, 2)
     _assert_partition(batches, tasks)
     names = [sorted({(tasks[i][0], tasks[i][2]) for i in b}) for b in batches]
     assert names == [
-        [("eta", None), ("lerch", -1), ("main", -1), ("quasimodular", None)],
-        [("dixit", -1), ("dixit", 1), ("lerch", 1), ("main", 1),
-         ("ramanujan", -1), ("ramanujan", 1)]]
+        [("dixit", 1), ("lerch", -1), ("main", -1), ("quasimodular", None),
+         ("ramanujan", 1)],
+        [("dixit", -1), ("eta", None), ("lerch", 1), ("main", 1), ("ramanujan", -1)]]
     assert cli._plan(tasks, 1) == [list(range(len(tasks)))]
 
 
 def test_plan_splits_one_line_across_workers():
     # a theta scan of one line is split into contiguous halves
     tasks = _grid("main", [1], [1], ["0", "0.1", "0.2", "0.3", "0.4"])
-    assert {cli._line_key(t) for t in tasks} == {(30, frozenset((2.5, 5.5)))}
+    assert {cli._line_key(t) for t in tasks} == {(30, frozenset((5.5, -1.5)))}
     batches = cli._plan(tasks, 2)
     _assert_partition(batches, tasks)
     assert sorted(batches) == [[0, 1], [2, 3, 4]]
@@ -171,6 +175,20 @@ def test_vacuous_eisenstein_cell_is_no_check(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS eisenstein k=1 m=3 theta=0.0:")
     assert run(["verify", "eisenstein", "--k", "1", "--digits", "15"]) == 0
     assert capsys.readouterr().out.startswith("PASS eisenstein k=1 m=2 theta=0.5:")
+
+
+def test_vacuous_eta_cell_is_no_check(tmp_path, capsys):
+    # theta = 0 makes alpha = beta: the lhs is X - X and the rhs exactly 0
+    out = tmp_path / "r.json"
+    assert run(["verify", "eta", "--k", "1", "--theta", "0", "--digits", "15",
+                "--format", "json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("NO CHECK eta k=1 m=None theta=0.0:") and "PASS" not in printed
+    [row] = json.loads(out.read_text())
+    assert row["passed"] is False and row["checked"] is False
+    # the default theta is a real check
+    assert run(["verify", "eta", "--k", "1", "--digits", "15"]) == 0
+    assert capsys.readouterr().out.startswith("PASS eta k=1 m=None theta=0.5:")
 
 
 def test_sweep_empty_grid_exit_two(capsys):

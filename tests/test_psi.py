@@ -5,7 +5,7 @@ from mpmath import mp, mpf
 
 from conftest import fixed_to_mpc
 from ztl import mellin, special, with_precision
-from ztl.psi import PsiRequest, SeriesRequest, VerticalProduct, psi, series_L
+from ztl.psi import PsiRequest, SeriesRequest, VerticalProduct, dual_product, psi, series_L
 
 
 def test_request_validation():
@@ -168,17 +168,24 @@ def test_series_nmax_exhaustion(ctx30):
 def test_fold_agrees_at_shifted_abscissa(ctx50, k, m, rho):
     # no pole lies between Re s = c and Re s = c + 1, so the fold integral is
     # the same on both lines while every node differs: an independent route
-    # for the stopping rule's accepted value
+    # for the stopping rule's accepted value. The Gamma form of the same
+    # integrand, Gamma^k zeta^k(s) zeta^k(s+2m+1) cos^{k-1} rho^-s, is a
+    # second one: it shares no factor but zeta(s+2m+1) with the Gamma-free
+    # dual_product
     with ctx50.scoped():
         c = mpf(max(1, -2 * m)) + mpf(3) / 2
-        vals = []
-        for line in (c, c + 1):
-            f = VerticalProduct(ctx50, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
-                                gamma_power=k, cos_power=k - 1, neg_s_base=mpf(rho))
+
+        def fold(f, line):
             st = mellin.line_settings(ctx50, line, poly_power=float(k) * (float(line) - 0.5))
-            vals.append(mellin.line_integral(f, st, ctx50, conj_symmetric=True))
+            return mellin.line_integral(f, st, ctx50, conj_symmetric=True)
+
+        vals = [mp.ldexp(fold(dual_product(k, rho, ctx50, m), line), -k) for line in (c, c + 1)]
+        gamma_form = fold(VerticalProduct(ctx50, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
+                                          gamma_power=k, cos_power=k - 1,
+                                          neg_s_base=mpf(rho)), c)
         assert vals[0] == series_L(SeriesRequest(rho=mpf(rho), k=k, m=m), ctx50).value
         assert abs(vals[0] - vals[1]) <= mpf("1e-45") * abs(vals[0])
+        assert abs(vals[0] - gamma_form) <= mpf("1e-45") * abs(vals[0])
 
 
 # ---------------------------------------------------------------------------

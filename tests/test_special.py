@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from ztl import hp, special
+from ztl.psi import fold_line
 
 # ---------------------------------------------------------------------------
 # gamma
@@ -167,23 +168,37 @@ def test_zeta_vertical_run_matches_scalar(digits, sigma, t0, dt, count):
 
 
 @pytest.mark.parametrize("digits", [30, 50, 80])
-@pytest.mark.parametrize("d", [1, 3, 7])
-def test_paired_zeta_run_keeps_its_guard_bits(digits, d):
-    # abscissas 2.5 + d and 2.5 share one Dirichlet pass whose terms the
-    # lower one weights by n^d: without ceil(d log2 N) more guard bits, 80
-    # digits lose 7 bits at d = 3 and 37 at d = 7
+@pytest.mark.parametrize("sigmas,t0s,dt,count", [
+    *[pytest.param((2.5 + d, 2.5), [-3], 1 / 16, 96, id=str(d)) for d in (1, 3, 7)],
+    *[pytest.param(tuple(sorted(fold_line(m)[1])), [-3], 1 / 2, 24, id=f"fold_m{m}")
+      for m in (1, 2, 7, -1, -2, -3, -7)],
+    *[pytest.param((s,), [0, 0.5, 3, 30, 150], 1 / 8, 4, id=f"single_s{s}")
+      for s in (-0.25, -1.5, -4.5, -14.5)],
+    pytest.param((-3, -13, -29), None, None, 1, id="scalar"),
+])
+def test_paired_zeta_run_keeps_its_guard_bits(digits, sigmas, t0s, dt, count):
+    # abscissas that share one Dirichlet pass, whose terms the lower ones
+    # weight by n^d: without ceil(d log2 N) more guard bits, 80 digits lose
+    # 7 bits at d = 3 and 37 at d = 7. Left of 1 the kernel needs two more
+    # things. Its tail must stop ceil((1 - sigma) log2 N) bits later, or
+    # sigma = -4.5 loses up to 14 bits and -14.5 up to 85 (the fold pair
+    # of m = -7 61-77); and a run whose largest abscissa is below 1 needs
+    # that many more guard bits, or single runs lose up to 96 bits and the
+    # scalar zeta(-29) 155-175
     ctx = hp.with_precision(digits)
     special.clear_caches()
     with ctx.scoped():
-        sigmas = (mpf(2.5) + d, mpf(2.5))
-        t0, dt = mpf(-3), mpf(1) / 16
-        runs = special.zeta_vertical_run(sigmas, t0, dt, 96, ctx)
-    assert len(runs) == 2 and all(len(run) == 96 for run in runs)
+        if t0s is None:
+            got = [(mpc(s), special.zeta(s, ctx)) for s in sigmas]
+        else:
+            got = []
+            for t0 in t0s:
+                runs = special.zeta_vertical_run(tuple(map(mpf, sigmas)), t0, dt, count, ctx)
+                assert len(runs) == len(sigmas) and all(len(run) == count for run in runs)
+                got += [(mpc(s, t0 + u * dt), v)
+                        for s, run in zip(sigmas, runs) for u, v in enumerate(run)]
     with mp.workprec(ctx.prec_bits + 60):
-        worst = max(abs(v - ref) / abs(ref)
-                    for sigma, run in zip(sigmas, runs)
-                    for u, v in enumerate(run)
-                    for ref in [mp.zeta(mpc(sigma, t0 + u * dt))])
+        worst = max(abs(v - ref) / abs(ref) for s, v in got for ref in [mp.zeta(s)])
         assert worst <= mpf(2) ** -(ctx.prec_bits - 3)
 
 
