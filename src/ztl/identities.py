@@ -296,12 +296,22 @@ def _neg_pow(base, m: int):
 # ---------------------------------------------------------------------------
 # the seven verifications
 
+def _checks_something(m: int, theta) -> bool:
+    """False at theta = 0 with m even, where alpha = beta makes a cell
+    compare nothing by construction: main, ramanujan and dixit then compare
+    an expression with itself plus B(pi, pi), and each eisenstein side is
+    one expression minus itself."""
+    return m % 2 == 1 or mpf(theta) != 0
+
+
 def verify_main(params: IdentityParams, ctx: PrecisionContext) -> VerificationReport:
-    """Transformation formula for the k-th power of odd zeta values."""
+    """Transformation formula for the k-th power of odd zeta values; no
+    check at theta = 0 with m even (``_checks_something``)."""
     check_params("main", params.k, params.m)
     t0 = time.perf_counter()
     k, m = params.k, params.m
     with ctx.scoped():
+        checked = _checks_something(m, params.theta)
         alpha, beta = params.alpha_beta(ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         La = series_L(SeriesRequest(rho=ra, k=k, m=m), ctx).value
@@ -311,21 +321,23 @@ def verify_main(params: IdentityParams, ctx: PrecisionContext) -> VerificationRe
         lhs = (alpha ** k) ** (-m) * (La - Da)
         rhs = (_neg_pow(beta ** k, m) * (Lb - Db)
                + bernoulli_block(k, m, alpha, beta, ctx))
-    return _report("main", k, m, params.theta, ctx, lhs, rhs, t0)
+    return _report("main", k, m, params.theta, ctx, lhs, rhs, t0, checked)
 
 
 def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """The classical odd-zeta identity, evaluated through Lambert series
-    only; fully independent of the Psi machinery."""
+    only; fully independent of the Psi machinery. No check at theta = 0
+    with m even (``_checks_something``)."""
     check_params("ramanujan", 1, m)
     t0 = time.perf_counter()
     with ctx.scoped():
+        checked = _checks_something(m, theta)
         alpha, beta = alpha_beta(theta, ctx)
         z = special.zeta(2 * m + 1, ctx)
         lhs = alpha ** (-m) * (z / 2 + special.lambert_series(-2 * m - 1, 2 * alpha, ctx))
         rhs = (_neg_pow(beta, m) * (z / 2 + special.lambert_series(-2 * m - 1, 2 * beta, ctx))
                + bernoulli_block(1, m, alpha, beta, ctx))
-    return _report("ramanujan", 1, m, theta, ctx, lhs, rhs, t0)
+    return _report("ramanujan", 1, m, theta, ctx, lhs, rhs, t0, checked)
 
 
 def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
@@ -333,10 +345,12 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     for the Koshliakov function (leading factor 2), summed as one Dirichlet
     convolution over N = j n by ``series_L(strategy="terms")`` and never on a
     Mellin line; digamma-free log derivative of zeta from its Taylor jet,
-    Euler's constant from the constants table."""
+    Euler's constant from the constants table. No check at theta = 0 with
+    m even (``_checks_something``)."""
     check_params("dixit", 2, m)
     t0 = time.perf_counter()
     with ctx.scoped():
+        checked = _checks_something(m, theta)
         alpha, beta = alpha_beta(theta, ctx)
         z = special.zeta(2 * m + 1, ctx)
         zj = special.zeta_jet(2 * m + 1, 2, ctx)
@@ -351,7 +365,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
         lhs = alpha ** (-2 * m) * bracket(alpha)
         sgn = -1 if m % 2 else 1
         rhs = sgn * beta ** (-2 * m) * bracket(beta) + 2 * bernoulli_block(2, m, alpha, beta, ctx)
-    return _report("dixit", 2, m, theta, ctx, lhs, rhs, t0)
+    return _report("dixit", 2, m, theta, ctx, lhs, rhs, t0, checked)
 
 
 def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> VerificationReport:
@@ -362,7 +376,7 @@ def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> Verificat
     check_params("eisenstein", k, m)
     t0 = time.perf_counter()
     with ctx.scoped():
-        checked = m % 2 == 1 or mpf(theta) != 0
+        checked = _checks_something(m, theta)
         alpha, beta = alpha_beta(theta, ctx)
         ra, rb = (2 * alpha) ** k, (2 * beta) ** k
         sa = (alpha ** k) ** m
@@ -468,8 +482,7 @@ def lambda_line_value(k: int, m: int, rho, ctx: PrecisionContext):
     with ctx.scoped():
         lam = mpf(-2 * m) - mpf(5) / 2
         settings = mellin.lambda_line_settings(ctx, lam, poly_power=2.0 * k + 1)
-        return mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx,
-                                    conj_symmetric=True)
+        return mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
 
 
 def self_duality_check(k: int, m: int, rho, ctx: PrecisionContext):

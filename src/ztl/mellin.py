@@ -3,6 +3,9 @@
 Cauchy-circle derivative operator (the independent route that the Taylor-jet
 residue terms of ``identities`` are checked against).
 
+``line_integral`` takes a ``VerticalProduct`` and nothing else, and sums
+the upper half-line only: the product is real on the real axis.
+
 Both quadratures use the plain trapezoid rule, which is spectrally accurate
 for analytic integrands that decay exponentially (line) or are periodic
 (circle), and refines by node doubling so earlier evaluations are never
@@ -163,12 +166,15 @@ class VerticalProduct:
     grid): fixed-point ints by node index. Missing nodes are computed in
     maximal equispaced runs: all zeta factors ride one memoized vertical run
     (an eps = -1 factor by conjugation), cos advances by one multiply per
-    node. Lines that carry zeta factors are Gamma-free (``psi.dual_product``);
-    Gamma^g serves the Meijer-G kernel ``psi_kernel``, its nodes from the
-    scalar memo. Of base^{-s}, the rotation e^{-it ln base} is seeded once per
-    chunk and advances by one fixed-point complex multiply per node, and
-    base^{-c} rides on the chunk's scale: a known node costs two int complex
-    multiplies.
+    node at 16 extra bits. Lines that carry zeta factors are Gamma-free
+    (``psi.dual_product``); Gamma^g serves the Meijer-G kernel
+    ``psi_kernel``, its nodes from the scalar memo. Of base^{-s}, the
+    rotation e^{-it ln base} is seeded once per chunk and advances by one
+    fixed-point complex multiply per node, and base^{-c} rides on the
+    chunk's scale: a known node costs two int complex multiplies.
+
+    A base that is not a positive real raises DomainError: with it, the
+    product is real on the real axis, the premise of ``line_integral``.
     """
 
     def __init__(self, ctx, zeta_factors=(), gamma_power=0, cos_power=0,
@@ -178,7 +184,10 @@ class VerticalProduct:
         self.gamma_power = gamma_power
         self.cos_power = cos_power
         with ctx.scoped():
-            self.ln_base = mp.log(mpf(neg_s_base))
+            base = mp.mpmathify(neg_s_base)
+            if not (isinstance(base, mpf) and base > 0):
+                raise special.DomainError(f"the base must be a positive real, got {base}")
+            self.ln_base = mp.log(base)
         self._fixed: dict = {}   # dt -> rotation step; (c, shift) -> scale
 
     def eval_vertical(self, c, t0, dt, count, grid=None):
@@ -235,54 +244,40 @@ class VerticalProduct:
                 s = mpc(c, t0 + u * dt)
                 vals[u] *= special.gamma(s, self.ctx) ** g
         if self.cos_power:
-            # cos(pi s/2) = cos(pi c/2) cosh(pi t/2) - i sin(pi c/2) sinh(pi t/2)
+            # cos(pi s/2) = cos(pi c/2) cosh(pi t/2) - i sin(pi c/2) sinh(pi t/2),
+            # at 16 extra bits: rounding pi t/2 costs about pi t/2 ulps of e^(pi t/2)
             p = self.cos_power
-            cc = mp.cospi(c / 2)
-            ss = mp.sinpi(c / 2)
-            e = mp.exp(mp.pi * t0 / 2)
-            estep = mp.exp(mp.pi * dt / 2)
-            half = mpf(1) / 2
-            for u in range(count):
-                ei = 1 / e
-                cosv = mpc(cc * (e + ei) * half, -ss * (e - ei) * half)
-                vals[u] *= cosv ** p if p > 0 else 1 / cosv ** -p
-                e = e * estep
+            with mp.extraprec(16):
+                cc = mp.cospi(c / 2)
+                ss = mp.sinpi(c / 2)
+                e = mp.exp(mp.pi * t0 / 2)
+                estep = mp.exp(mp.pi * dt / 2)
+                cos_run = []
+                for u in range(count):
+                    ei = 1 / e
+                    cosv = mpc(cc * (e + ei) / 2, -ss * (e - ei) / 2)
+                    cos_run.append(cosv ** p if p > 0 else 1 / cosv ** -p)
+                    e = e * estep
+            vals = [v * w for v, w in zip(vals, cos_run)]
         return vals
 
 
-class _CallableOnLine(VerticalProduct):
-    """A plain callable as a VerticalProduct with base 1, whose nodes are
-    kept for the one line integral rather than in the product memo."""
+def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: PrecisionContext,
+                  *, trace: list | None = None) -> mpf:
+    """(1/2 pi i) * integral of the VerticalProduct ``f`` over Re(s) = c.
 
-    def __init__(self, f, ctx):
-        super().__init__(ctx)
-        self.f = f
-        self.store = special.FixedLine(ctx.prec_bits)
-
-    def _line(self, key):
-        return self.store
-
-    def _product_run(self, c, t0, dt, count):
-        return [self.f(mpc(c, t0 + u * dt)) for u in range(count)]
-
-
-def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
-                  conj_symmetric: bool = False, trace: list | None = None):
-    """(1/2 pi i) * integral of f over Re(s) = c.
-
-    ``f`` is a callable of one complex argument or an object exposing
-    ``eval_vertical(c, t0, dt, count, grid)`` as VerticalProduct does. With
-    ``conj_symmetric`` the lower half-line is folded onto the upper one and
-    the result is real. Level i has step h0/2^i and cap T (3/2)^i; every
-    node is an int multiple of grid = h0/2^refine_limit. A level sums
-    fixed-point ints exactly (``special.FixedLine`` bounds their rounding by
-    2^-(prec+24) of the line's first nonzero node, below the 2^-prec sum |v_j|
-    of mpc arithmetic also on a line that cancels) and scales the sum once.
-    A half-line stops after 5 consecutive nodes past t = 5 with |v| < eps,
-    tested on ints as re^2 + im^2 < (eps/scale)^2. Raises QuadratureError
-    when refine_limit is exhausted.
+    Every factor of ``f`` is real on the real axis and its base is positive,
+    so f(c - it) is the conjugate of f(c + it): the lower half-line folds
+    exactly onto the upper one, and the result is h/(2 pi) times
+    f(c) + 2 Re sum_{j >= 1} f(c + ijh). Level i has step h0/2^i and cap
+    T (3/2)^i; every node is an int multiple of grid = h0/2^refine_limit. A
+    level sums fixed-point ints exactly (``special.FixedLine`` bounds their
+    rounding by 2^-(prec+24) of the line's first nonzero node, below the
+    2^-prec sum |v_j| of mpc arithmetic also on a line that cancels) and
+    scales the sum once. The half-line stops after 5 consecutive nodes past
+    t = 5 with |v| < eps, tested on ints as re^2 + im^2 < (eps/scale)^2.
+    Raises QuadratureError when refine_limit is exhausted.
     """
-    ev = f if hasattr(f, "eval_vertical") else _CallableOnLine(f, ctx)
     with ctx.scoped():
         c = settings.c
         rel = mpf(10) ** (-ctx.digits)
@@ -293,32 +288,28 @@ def line_integral(f, settings: QuadratureSettings, ctx: PrecisionContext,
             T = settings.T * (mpf(3) / 2) ** i
             jmax, jtail = int(T / h), int(5 / h) + 1
             eps = rel * max(_ABS_FLOOR, abs(prev) if prev is not None else _ABS_FLOOR) / 10
-            re, im, scale = ev.eval_vertical(c, mpf(0), h, 1, grid=grid)
-            sre, sim, thr = re[0], im[0], None
-            for sign in (1,) if conj_symmetric else (1, -1):
-                consec = 0
-                for j in range(1, jmax + 1, _CHUNK):
-                    count = min(_CHUNK, jmax - j + 1)
-                    re, im, sc = ev.eval_vertical(c, sign * j * h, sign * h, count, grid=grid)
-                    if thr is None or sc != scale:
-                        # a line's scale changes only while all its ints are 0
-                        scale, thr = sc, int(mp.ceil((eps / sc) ** 2))
-                    stop = count
-                    for u in range(max(0, jtail - j), count):
-                        x = re[u] * re[u]
-                        if x < thr and x + im[u] * im[u] < thr:
-                            consec += 1
-                            if consec == 5:
-                                stop = u + 1
-                                break
-                        else:
-                            consec = 0
-                    sre += (2 if conj_symmetric else 1) * sum(re[:stop])
-                    sim += sum(im[:stop])
-                    if consec == 5:
-                        break
-            val = scale * sre if conj_symmetric else scale * mpc(sre, sim)
-            return (h / (2 * mp.pi)) * val, {"h": float(h), "T": float(T)}
+            re, _, scale = f.eval_vertical(c, mpf(0), h, 1, grid=grid)
+            total, thr, consec = re[0], None, 0
+            for j in range(1, jmax + 1, _CHUNK):
+                count = min(_CHUNK, jmax - j + 1)
+                re, im, sc = f.eval_vertical(c, j * h, h, count, grid=grid)
+                if thr is None or sc != scale:
+                    # a line's scale changes only while all its ints are 0
+                    scale, thr = sc, int(mp.ceil((eps / sc) ** 2))
+                stop = count
+                for u in range(max(0, jtail - j), count):
+                    x = re[u] * re[u]
+                    if x < thr and x + im[u] * im[u] < thr:
+                        consec += 1
+                        if consec == 5:
+                            stop = u + 1
+                            break
+                    else:
+                        consec = 0
+                total += 2 * sum(re[:stop])
+                if consec == 5:
+                    break
+            return (h / (2 * mp.pi)) * (scale * total), {"h": float(h), "T": float(T)}
 
         return _refine("line", {"c": float(c)}, settings.refine_limit, rel, level, trace)
 
@@ -371,7 +362,7 @@ def psi_kernel(k: int, z, ctx: PrecisionContext):
             raise special.DomainError("psi_kernel requires k >= 1 and z > 0")
         settings = line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
         f = VerticalProduct(ctx, gamma_power=k, cos_power=k - 1, neg_s_base=z)
-        return line_integral(f, settings, ctx, conj_symmetric=True)
+        return line_integral(f, settings, ctx)
 
 
 def meijer_g_psi_kernel(k: int, z, ctx: PrecisionContext):

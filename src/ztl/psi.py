@@ -187,8 +187,7 @@ def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
     integral of its Gamma-free form ``dual_product(k, rho x)``."""
     settings = mellin.line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
     tr: list = []
-    v = mellin.line_integral(dual_product(k, rho * x, ctx), settings, ctx,
-                             conj_symmetric=True, trace=tr)
+    v = mellin.line_integral(dual_product(k, rho * x, ctx), settings, ctx, trace=tr)
     est = mpf(tr[-1]["estimate"]) if tr and tr[-1]["estimate"] else ctx.tolerance()
     return PsiValue(value=mp.ldexp(v, -k), error_estimate=mp.ldexp(est, -k),
                     strategy="inverse_mellin")
@@ -247,8 +246,7 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
         if strategy == "fold":
             c = mpf(fold_line(m)[0])
             settings = mellin.line_settings(ctx, c, poly_power=float(k) * (float(c) - 0.5))
-            v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx,
-                                     conj_symmetric=True)
+            v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
             return SeriesValue(value=mp.ldexp(v, -k), terms_used=None, strategy="fold")
 
         ep = max(2 * m + 1, 0)

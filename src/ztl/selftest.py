@@ -239,10 +239,10 @@ def check_gamma_free_fold(ctx):
     Gamma^k zeta^k(s) by the functional equation, on the fold line's
     nodes: four 96-node chunks from t = 0, 6, 30 and 60 for (k, m) in
     {(1, 1), (3, -1), (4, -2), (2, 7), (1, -7)}. The two share only
-    zeta(s+2m+1). Relative gap below 2^(12-prec): both forms advance
-    cos(pi s/2) by one multiply per node, so a chunk's last node carries
-    up to about 96 k roundings; the worst node reads 2^7.8 to 2^9.0 times
-    2^-prec at 15 to 80 digits."""
+    zeta(s+2m+1). Relative gap below 2^(6-prec): both forms build
+    cos(pi s/2) at 16 extra bits, since rounding pi t/2 alone would cost
+    about k pi t/2 ulps; the worst node reads about 2^3.5 2^-prec at 15 to
+    80 digits."""
     worst = mpf(0)
     with ctx.scoped():
         dt = mpf(1) / 8
@@ -260,20 +260,31 @@ def check_gamma_free_fold(ctx):
                         s = mpc(c, t0 + u * dt)
                         ref = mp.exp(k * s * mp.log(2 * mp.pi)) * b[u] / 2 ** k
                         worst = max(worst, abs(a[u] - ref) / abs(a[u]))
-    return (worst < mpf(2) ** (12 - ctx.prec_bits),
+    return (worst < mpf(2) ** (6 - ctx.prec_bits),
             f"1920 nodes, worst relative gap {mp.nstr(worst, 3)} "
             f"= 2^{float(mp.log(worst, 2)) + ctx.prec_bits:.1f} 2^-prec")
 
 
-def check_line_conjugate_symmetry(ctx):
+def check_product_conjugate_symmetry(ctx):
+    """The premise of ``mellin.line_integral``'s fold onto the upper
+    half-line, node by node: the base-free product at c - it against the
+    conjugate of that at c + it, on 96 nodes from t = 1/8 and from t = 30,
+    for the folds (k, m) in {(1, 1), (3, -1), (2, 7)}, the Psi line (k = 2)
+    and the Gamma^3 cos^2 kernel. Relative gap below 2^(2-prec)."""
+    worst = mpf(0)
     with ctx.scoped():
-        f = lambda s: special.gamma(s, ctx) * mpf(3) ** (-s)
-        st = mellin.line_settings(ctx, 2, poly_power=1.5)
-        v = mellin.line_integral(f, st, ctx)
-        bound = ctx.tolerance(2)
-        re_res = abs(v.real - mp.exp(-3))
-        return (abs(v.imag) < bound and re_res < bound,
-                f"|Im| = {mp.nstr(abs(v.imag), 3)}, |Re - e^-3| = {mp.nstr(re_res, 3)}")
+        lines = [(mpf(fold_line(m)[0]), dual_product(k, 1, ctx, m))
+                 for k, m in ((1, 1), (3, -1), (2, 7))]
+        lines += [(mpf(5) / 2, dual_product(2, 1, ctx)),
+                  (mpf(5) / 2, mellin.VerticalProduct(ctx, gamma_power=3, cos_power=2))]
+        dt = mpf(1) / 8
+        for c, f in lines:
+            for t0 in (dt, mpf(30)):
+                up = f._product_run(c, t0, dt, 96)
+                down = f._product_run(c, -t0, -dt, 96)
+                worst = max([worst] + [abs(b - a.conjugate()) / abs(a) for a, b in zip(up, down)])
+    return (worst < mpf(2) ** (2 - ctx.prec_bits),
+            f"960 nodes, worst relative gap {mp.nstr(worst, 3)}")
 
 
 def check_mesh_refinement_geometric(ctx):
@@ -283,11 +294,11 @@ def check_mesh_refinement_geometric(ctx):
         # from h0 = 1 every line refines at least twice at every digits >= 15,
         # so there is always a ratio to test
         for x in (1, 5, 3):
-            f = lambda s: special.gamma(s, ctx) * mpf(x) ** (-s)
+            f = mellin.VerticalProduct(ctx, gamma_power=1, neg_s_base=x)
             st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1),
                                            T=mellin.line_settings(ctx, 2).T)
             tr = []
-            mellin.line_integral(f, st, ctx, conj_symmetric=True, trace=tr)
+            mellin.line_integral(f, st, ctx, trace=tr)
             discs = [t["discrepancy"] for t in tr if t["discrepancy"]]
             ok = (ok and len(discs) >= 2
                   and all(a / b >= 10 for a, b in zip(discs, discs[1:])))
@@ -316,10 +327,10 @@ def check_fixed_line_cancellation(ctx):
     for m in {1, -1, 7} at rho = 2 pi e^3 (a value near e^-126 from nodes
     whose |v| sums to about 1e-5) and at rho = 2 pi e^-2.5, against the
     Lambert series sum n^-(2m+1)/(e^(rho n) - 1); the k = 2, m = 1 fold at
-    rho = 2 pi e^3 against its Bessel double sum; and a callable line that
-    is exactly 0 at t = 0, (s - 2) Gamma(s) 3^-s over both half-lines,
-    against (x - 2) e^-x at x = 3. Gap below 10^(5-digits) max(|oracle|,
-    1e-5), the stopping rule's own promise."""
+    rho = 2 pi e^3 against its Bessel double sum; and a line that is exactly
+    0 at t = 0, Gamma^2(s) cos(pi s/2) 3^-s on Re s = 3 (cos(3 pi/2) = 0),
+    against 2 Re K0(2 e^(i pi/4) sqrt 3). Gap below 10^(5-digits)
+    max(|oracle|, 1e-5), the stopping rule's own promise."""
     with ctx.scoped():
         gaps = []
 
@@ -332,9 +343,10 @@ def check_fixed_line_cancellation(ctx):
                 gaps.append(gap(v, special.lambert_series(-2 * m - 1, rho, ctx)))
         req = SeriesRequest(rho=2 * mp.pi * mp.exp(3), k=2, m=1)
         gaps.append(gap(series_L(req, ctx).value, series_L(req, ctx, strategy="terms").value))
-        f = lambda s: (s - 2) * special.gamma(s, ctx) * mpf(3) ** (-s)
-        v = mellin.line_integral(f, mellin.line_settings(ctx, 2, poly_power=2.5), ctx)
-        gaps.append(gap(v, mp.exp(-3)))
+        f = mellin.VerticalProduct(ctx, gamma_power=2, cos_power=1, neg_s_base=3)
+        v = mellin.line_integral(f, mellin.line_settings(ctx, 3, poly_power=5.0), ctx)
+        pair = 2 * special.bessel_k0(2 * mp.expjpi(mpf(1) / 4) * mp.sqrt(3), ctx).real
+        gaps.append(gap(v, pair))
         worst = max(gaps)
         return worst < ctx.tolerance(5), f"{len(gaps)} lines, worst gap {mp.nstr(worst, 3)}"
 
@@ -534,7 +546,7 @@ CHECKS = [
     ("special", "bessel_k_half", check_bessel_k_half),
     ("special", "bessel_k0_mpmath", check_bessel_k0_mpmath),
     ("special", "zeta_run_paired", check_zeta_run_paired),
-    ("mellin", "line_conjugate_symmetry", check_line_conjugate_symmetry),
+    ("mellin", "product_conjugate_symmetry", check_product_conjugate_symmetry),
     ("mellin", "mesh_refinement_geometric", check_mesh_refinement_geometric),
     ("mellin", "cauchy_order_zero", check_cauchy_order_zero),
     ("mellin", "truncation_bound", check_truncation_bound),

@@ -254,9 +254,11 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
 
     ``sigma`` may be a tuple of abscissas that differ by integers; then the
     result is one such run per abscissa, from one shared Dirichlet pass. A
-    node is computed when any abscissa misses it, and every abscissa's value
-    there is memoized under its own key, so a call returns the same values
-    whichever of its abscissas the memo already held."""
+    run with any miss, at any abscissa, is computed whole, in pieces of
+    _RUN_CHUNK nodes, and every abscissa's values are memoized under its own
+    key, so a call returns the same values whichever nodes the memo already
+    held. ``FixedLine.read`` hands in only the missing nodes of a line, as
+    maximal equispaced runs."""
     with ctx.scoped():
         prec = ctx.prec_bits
         sigmas = tuple(map(mpf, sigma)) if isinstance(sigma, tuple) else (mpf(sigma),)
@@ -265,20 +267,12 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
         skeys = [s._mpf_ for s in sigmas]
         tkeys = [(t0 + u * dt)._mpf_ for u in range(count)]
         out = [[_ZLINE_MEMO.get((skey, tk, prec)) for tk in tkeys] for skey in skeys]
-        missing = [u for u in range(count) if any(run[u] is None for run in out)]
-        # group missing indices into runs of consecutive u
-        i = 0
-        while i < len(missing):
-            j = i
-            while j + 1 < len(missing) and missing[j + 1] == missing[j] + 1:
-                j += 1
-            for c0 in range(missing[i], missing[j] + 1, _RUN_CHUNK):
-                c1 = min(c0 + _RUN_CHUNK - 1, missing[j])
-                runs = _zeta_em_run(sigmas, t0 + c0 * dt, dt, c1 - c0 + 1, prec)
+        if any(None in run for run in out):
+            for c0 in range(0, count, _RUN_CHUNK):
+                runs = _zeta_em_run(sigmas, t0 + c0 * dt, dt, min(_RUN_CHUNK, count - c0), prec)
                 for skey, run, vals in zip(skeys, out, runs):
-                    for u, v in zip(range(c0, c1 + 1), vals):
+                    for u, v in enumerate(vals, c0):
                         _ZLINE_MEMO[(skey, tkeys[u], prec)] = run[u] = v
-            i = j + 1
         return out if isinstance(sigma, tuple) else out[0]
 
 

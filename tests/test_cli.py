@@ -191,6 +191,21 @@ def test_vacuous_eta_cell_is_no_check(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("PASS eta k=1 m=None theta=0.5:")
 
 
+def test_vacuous_even_m_cell_is_no_check(capsys):
+    # theta = 0 with m even: the series and derivative terms cancel by
+    # construction, and the cell compares an expression with itself plus
+    # B(pi, pi); odd m at theta = 0 is a real check
+    flags = ["--theta", "0", "--digits", "15"]
+    for even, odd in ((["main", "--k", "2", "--m", "2"], ["main", "--k", "2", "--m", "1"]),
+                      (["ramanujan", "--m", "-2"], ["ramanujan", "--m", "-1"]),
+                      (["dixit", "--m", "2"], ["dixit", "--m", "1"])):
+        assert run(["verify", *even, *flags]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"NO CHECK {even[0]} ") and "PASS" not in printed
+        assert run(["verify", *odd, *flags]) == 0
+        assert capsys.readouterr().out.startswith(f"PASS {odd[0]} ")
+
+
 def test_sweep_empty_grid_exit_two(capsys):
     assert run(["sweep", "--identity", "main", "--m", "", "--digits", "30"]) == 2
     capsys.readouterr()

@@ -17,8 +17,8 @@ def test_mellin_inversion_of_exp(ctx50):
     with ctx50.scoped():
         st = mellin.line_settings(ctx50, 2, poly_power=1.5)
         for x in (1, 5):
-            f = lambda s: special.gamma(s, ctx50) * mpf(x) ** (-s)
-            v = mellin.line_integral(f, st, ctx50, conj_symmetric=True)
+            f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=x)
+            v = mellin.line_integral(f, st, ctx50)
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
 
 
@@ -28,9 +28,9 @@ def test_embedded_estimate_accepts_second_level(ctx50):
     with ctx50.scoped():
         st = mellin.line_settings(ctx50, 2)
         for x in (1, 5):
-            f = lambda s: special.gamma(s, ctx50) * mpf(x) ** (-s)
+            f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=x)
             tr = []
-            v = mellin.line_integral(f, st, ctx50, conj_symmetric=True, trace=tr)
+            v = mellin.line_integral(f, st, ctx50, trace=tr)
             assert len(tr) == 2
             assert tr[0]["estimate"] is None and tr[1]["estimate"] is not None
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
@@ -38,11 +38,11 @@ def test_embedded_estimate_accepts_second_level(ctx50):
 
 def test_non_convergence_raises_with_last_values(ctx50):
     with ctx50.scoped():
-        f = lambda s: special.gamma(s, ctx50) * mpf(2) ** (-s)
+        f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=2)
         st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 2, T=mpf(40),
                                        refine_limit=1)
         with pytest.raises(mellin.QuadratureError) as exc:
-            mellin.line_integral(f, st, ctx50, conj_symmetric=True)
+            mellin.line_integral(f, st, ctx50)
         # with no trace list passed and no sink installed, the error still
         # carries every level
         steps = exc.value.trace
@@ -95,18 +95,36 @@ def test_circle_first_level_node_floor(ctx50):
             assert tr[0]["M"] == nodes
 
 
+class _Notch(mellin.VerticalProduct):
+    """A fake product: 1 on the line, but 0 for 23/2 <= t <= 12."""
+
+    def _product_run(self, c, t0, dt, count):
+        return [mpc(0) if mpf(23) / 2 <= t0 + u * dt <= 12 else mpc(1) for u in range(count)]
+
+
 def test_line_stops_when_a_chunk_ends_the_tail(ctx30):
     # nodes t = j/8, j = 92..96, are 0: the fifth small node ends the first
-    # 96-node chunk, and the half-line must stop there
-    def f(s):
-        return mpf(0) if mpf(23) / 2 <= s.imag <= 12 else mpf(1)
-
+    # 96-node chunk, and the half-line must stop there. A factor-free
+    # product shares its memo key with any other, so the memo is cleared
+    # around the fake
     st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 8, T=mpf(40), refine_limit=0)
     tr = []
-    with pytest.raises(mellin.QuadratureError):
-        mellin.line_integral(f, st, ctx30, conj_symmetric=True, trace=tr)
+    special.clear_caches()
+    try:
+        with pytest.raises(mellin.QuadratureError):
+            mellin.line_integral(_Notch(ctx30), st, ctx30, trace=tr)
+    finally:
+        special.clear_caches()
     with ctx30.scoped():
         assert abs(mpf(tr[0]["value"]) - mpf(183) / (16 * mp.pi)) < ctx30.tolerance()
+
+
+@pytest.mark.parametrize("base", [0, -3, mpc(2, 1)])
+def test_vertical_product_rejects_a_base_that_is_not_positive(ctx30, base):
+    # ln base must be real, or the integrand is not conjugate-symmetric and
+    # line_integral's fold onto the upper half-line is wrong
+    with pytest.raises(special.DomainError):
+        mellin.VerticalProduct(ctx30, gamma_power=1, neg_s_base=base)
 
 
 @pytest.mark.parametrize("p", [-2, -1, 1, 2])
@@ -180,17 +198,3 @@ def test_kernel_large_z_is_negligible(ctx30):
     with ctx30.scoped():
         for k in (1, 3):
             assert abs(mellin.psi_kernel(k, mpf(10) ** 5, ctx30)) < ctx30.tolerance()
-
-
-def test_k0_complex_vs_mellin_barnes_oracle(ctx50):
-    # G^{2,0}_{0,2}(-; 0,0 | z^2/4) = 2 K0(z): an asymmetric complex-line
-    # integral, evaluated without the conjugate-symmetry shortcut
-    with ctx50.scoped():
-        z = 2 * mp.expjpi(mpf(1) / 4)
-        w = z * z / 4
-        lnw = mp.log(w)
-        f = lambda s: special.gamma(s, ctx50) ** 2 * mp.exp(-s * lnw)
-        st = mellin.line_settings(ctx50, 2, poly_power=3.0)
-        v = mellin.line_integral(f, st, ctx50)
-        ref = 2 * special.bessel_k0(z, ctx50)
-        assert abs(v - ref) < ctx50.tolerance(8)

@@ -177,7 +177,7 @@ def test_fold_agrees_at_shifted_abscissa(ctx50, k, m, rho):
 
         def fold(f, line):
             st = mellin.line_settings(ctx50, line, poly_power=float(k) * (float(line) - 0.5))
-            return mellin.line_integral(f, st, ctx50, conj_symmetric=True)
+            return mellin.line_integral(f, st, ctx50)
 
         vals = [mp.ldexp(fold(dual_product(k, rho, ctx50, m), line), -k) for line in (c, c + 1)]
         gamma_form = fold(VerticalProduct(ctx50, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
@@ -228,7 +228,7 @@ def _line_at(h0):
     with ctx.scoped():
         f = VerticalProduct(ctx, gamma_power=1, neg_s_base=3)
         st = mellin.QuadratureSettings(c=mpf(2), h0=h0, T=mellin.line_settings(ctx, 2).T)
-        return mellin.line_integral(f, st, ctx, conj_symmetric=True)
+        return mellin.line_integral(f, st, ctx)
 
 
 @pytest.mark.parametrize("first,second", [

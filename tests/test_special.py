@@ -251,7 +251,8 @@ def test_bernoulli_csv():
 
 def test_k0_against_mpmath(ctx50):
     with ctx50.scoped():
-        for z in (mpf(1) / 2, mpf(3), mpc(2, 2), mpc(40, 13), mpf(120), mpc(90, -90)):
+        for z in (mpf(1) / 2, mpf(3), mpc(2, 2), 2 * mp.expjpi(mpf(1) / 4), mpc(40, 13),
+                  mpf(120), mpc(90, -90)):
             ref = mp.besselk(0, z)
             assert abs(special.bessel_k0(z, ctx50) - ref) <= abs(ref) * ctx50.tolerance(4)
 
