@@ -2,6 +2,13 @@
 from the series, derivative and Bernoulli-block building blocks, with
 verification reports.
 
+One body, ``_cell``, runs every verification; each ``verify_*`` supplies
+only its two sides. Main, ramanujan and dixit share one balanced form
+(``_balanced``); eisenstein and quasimodular are main at -m with the series
+on the left (``_series_left``); lerch is main at alpha = beta = pi; eta has
+sides of its own. Fold-line series and derivative terms come from
+``_fold_bracket``.
+
 Parameter convention: alpha = pi e^theta, beta = pi e^-theta, so the
 constraint alpha*beta = pi^2 holds by construction and never drifts.
 """
@@ -181,20 +188,6 @@ def pass_tolerance(ctx: PrecisionContext) -> mpf:
     return ctx.tolerance(slack)
 
 
-def _report(identity, k, m, theta, ctx, lhs, rhs, t0, checked=True) -> VerificationReport:
-    with ctx.scoped():
-        abs_res = abs(lhs - rhs)
-        rel_res = abs_res / max(abs(lhs), abs(rhs), mpf(1))
-        tol = pass_tolerance(ctx)
-        return VerificationReport(
-            identity=identity, k=k, m=m,
-            theta="" if theta is None else mp.nstr(mpf(theta), 12),
-            digits=ctx.digits, lhs=lhs, rhs=rhs,
-            abs_residual=abs_res, rel_residual=rel_res, tolerance=tol,
-            passed=checked and bool(rel_res < tol), elapsed=time.perf_counter() - t0,
-            checked=checked)
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 
@@ -294,7 +287,57 @@ def _neg_pow(base, m: int):
 
 
 # ---------------------------------------------------------------------------
-# the seven verifications
+# the seven verifications: one body, ``_cell``, and each identity's two sides
+
+def _cell(identity: str, k: int, m: int | None, theta, ctx: PrecisionContext,
+          sides: Callable, checked: bool = True) -> VerificationReport:
+    """Check the parameters, then time ``sides(alpha, beta)`` -> (lhs, rhs)
+    under the context's precision (alpha = beta = pi when theta is None) and
+    report; ``checked`` is False for a cell that compares nothing."""
+    check_params(identity, k, m)
+    t0 = time.perf_counter()
+    with ctx.scoped():
+        alpha, beta = alpha_beta(0 if theta is None else theta, ctx)
+        lhs, rhs = sides(alpha, beta)
+        abs_res = abs(lhs - rhs)
+        rel_res = abs_res / max(abs(lhs), abs(rhs), mpf(1))
+        tol = pass_tolerance(ctx)
+        return VerificationReport(
+            identity=identity, k=k, m=m,
+            theta="" if theta is None else mp.nstr(mpf(theta), 12),
+            digits=ctx.digits, lhs=lhs, rhs=rhs,
+            abs_residual=abs_res, rel_residual=rel_res, tolerance=tol,
+            passed=checked and bool(rel_res < tol), elapsed=time.perf_counter() - t0,
+            checked=checked)
+
+
+def _fold_bracket(k: int, m: int, r, ctx: PrecisionContext):
+    """(L, D) at rho = (2r)^k on the fold line of m: the weighted series
+    ``series_L`` and its derivative term."""
+    rho = (2 * r) ** k
+    return (series_L(SeriesRequest(rho=rho, k=k, m=m), ctx).value,
+            derivative_term(k, m, rho, ctx))
+
+
+def _balanced(k: int, m: int, alpha, beta, bracket: Callable, b: int, ctx: PrecisionContext):
+    """(alpha^k)^-m X(alpha) against (-1)^m (beta^k)^-m X(beta) + b B(k, m),
+    X = ``bracket``."""
+    lhs = (alpha ** k) ** (-m) * bracket(alpha)
+    rhs = (_neg_pow(beta ** k, m) * bracket(beta)
+           + b * bernoulli_block(k, m, alpha, beta, ctx))
+    return lhs, rhs
+
+
+def _series_left(k: int, m: int, alpha, beta, ctx: PrecisionContext):
+    """Main at -m with the series on the left: sa La - sb Lb against
+    sa Da - sb Db + B(k, -m), sa = (alpha^k)^m, sb = (-beta^k)^m. B is empty
+    for m > 1 and the constant -(pi/2)^{k-1} 2^{-2k} at m = 1."""
+    La, Da = _fold_bracket(k, -m, alpha, ctx)
+    Lb, Db = _fold_bracket(k, -m, beta, ctx)
+    sa, sb = (alpha ** k) ** m, _neg_pow(beta ** k, -m)
+    return (sa * La - sb * Lb,
+            sa * Da - sb * Db + bernoulli_block(k, -m, alpha, beta, ctx))
+
 
 def _checks_something(m: int, theta) -> bool:
     """False at theta = 0 with m even, where alpha = beta makes a cell
@@ -305,39 +348,30 @@ def _checks_something(m: int, theta) -> bool:
 
 
 def verify_main(params: IdentityParams, ctx: PrecisionContext) -> VerificationReport:
-    """Transformation formula for the k-th power of odd zeta values; no
-    check at theta = 0 with m even (``_checks_something``)."""
-    check_params("main", params.k, params.m)
-    t0 = time.perf_counter()
+    """Transformation formula for the k-th power of odd zeta values, in the
+    balanced form with X = L - D; no check at theta = 0 with m even
+    (``_checks_something``)."""
     k, m = params.k, params.m
-    with ctx.scoped():
-        checked = _checks_something(m, params.theta)
-        alpha, beta = params.alpha_beta(ctx)
-        ra, rb = (2 * alpha) ** k, (2 * beta) ** k
-        La = series_L(SeriesRequest(rho=ra, k=k, m=m), ctx).value
-        Lb = series_L(SeriesRequest(rho=rb, k=k, m=m), ctx).value
-        Da = derivative_term(k, m, ra, ctx)
-        Db = derivative_term(k, m, rb, ctx)
-        lhs = (alpha ** k) ** (-m) * (La - Da)
-        rhs = (_neg_pow(beta ** k, m) * (Lb - Db)
-               + bernoulli_block(k, m, alpha, beta, ctx))
-    return _report("main", k, m, params.theta, ctx, lhs, rhs, t0, checked)
+
+    def bracket(r):
+        L, D = _fold_bracket(k, m, r, ctx)
+        return L - D
+
+    return _cell("main", k, m, params.theta, ctx,
+                 lambda alpha, beta: _balanced(k, m, alpha, beta, bracket, 1, ctx),
+                 _checks_something(m, params.theta))
 
 
 def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """The classical odd-zeta identity, evaluated through Lambert series
     only; fully independent of the Psi machinery. No check at theta = 0
     with m even (``_checks_something``)."""
-    check_params("ramanujan", 1, m)
-    t0 = time.perf_counter()
-    with ctx.scoped():
-        checked = _checks_something(m, theta)
-        alpha, beta = alpha_beta(theta, ctx)
+    def sides(alpha, beta):
         z = special.zeta(2 * m + 1, ctx)
-        lhs = alpha ** (-m) * (z / 2 + special.lambert_series(-2 * m - 1, 2 * alpha, ctx))
-        rhs = (_neg_pow(beta, m) * (z / 2 + special.lambert_series(-2 * m - 1, 2 * beta, ctx))
-               + bernoulli_block(1, m, alpha, beta, ctx))
-    return _report("ramanujan", 1, m, theta, ctx, lhs, rhs, t0, checked)
+        return _balanced(1, m, alpha, beta,
+                         lambda r: z / 2 + special.lambert_series(-2 * m - 1, 2 * r, ctx), 1, ctx)
+
+    return _cell("ramanujan", 1, m, theta, ctx, sides, _checks_something(m, theta))
 
 
 def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
@@ -347,11 +381,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     Mellin line; digamma-free log derivative of zeta from its Taylor jet,
     Euler's constant from the constants table. No check at theta = 0 with
     m even (``_checks_something``)."""
-    check_params("dixit", 2, m)
-    t0 = time.perf_counter()
-    with ctx.scoped():
-        checked = _checks_something(m, theta)
-        alpha, beta = alpha_beta(theta, ctx)
+    def sides(alpha, beta):
         z = special.zeta(2 * m + 1, ctx)
         zj = special.zeta_jet(2 * m + 1, 2, ctx)
         zp_over_z = zj[1] / zj[0]
@@ -362,45 +392,26 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
                               strategy="terms").value
             return z ** 2 * (mp.euler + mp.log(r / mp.pi) - zp_over_z) + om
 
-        lhs = alpha ** (-2 * m) * bracket(alpha)
-        sgn = -1 if m % 2 else 1
-        rhs = sgn * beta ** (-2 * m) * bracket(beta) + 2 * bernoulli_block(2, m, alpha, beta, ctx)
-    return _report("dixit", 2, m, theta, ctx, lhs, rhs, t0, checked)
+        return _balanced(2, m, alpha, beta, bracket, 2, ctx)
+
+    return _cell("dixit", 2, m, theta, ctx, sides, _checks_something(m, theta))
 
 
 def verify_eisenstein(k: int, m: int, theta, ctx: PrecisionContext) -> VerificationReport:
-    """Weight-2m Eisenstein-type transformation (m > 1): no Bernoulli block
-    survives on the right-hand side. At theta = 0 with m even, alpha = beta
+    """Weight-2m Eisenstein-type transformation (m > 1): main at -m, where
+    no Bernoulli block survives. At theta = 0 with m even, alpha = beta
     makes each side one expression minus itself: the report is marked as no
     check."""
-    check_params("eisenstein", k, m)
-    t0 = time.perf_counter()
-    with ctx.scoped():
-        checked = _checks_something(m, theta)
-        alpha, beta = alpha_beta(theta, ctx)
-        ra, rb = (2 * alpha) ** k, (2 * beta) ** k
-        sa = (alpha ** k) ** m
-        sb = _neg_pow(beta ** k, -m)
-        lhs = (sa * series_L(SeriesRequest(rho=ra, k=k, m=-m), ctx).value
-               - sb * series_L(SeriesRequest(rho=rb, k=k, m=-m), ctx).value)
-        rhs = (sa * derivative_term(k, -m, ra, ctx)
-               - sb * derivative_term(k, -m, rb, ctx))
-    return _report("eisenstein", k, m, theta, ctx, lhs, rhs, t0, checked)
+    return _cell("eisenstein", k, m, theta, ctx,
+                 lambda alpha, beta: _series_left(k, m, alpha, beta, ctx),
+                 _checks_something(m, theta))
 
 
 def verify_quasimodular(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
-    """Weight-2 (quasi-modular) transformation: the m=-1 case, whose
-    Bernoulli block collapses to the constant -(pi/2)^{k-1} 2^{-2k}."""
-    t0 = time.perf_counter()
-    with ctx.scoped():
-        alpha, beta = alpha_beta(theta, ctx)
-        ra, rb = (2 * alpha) ** k, (2 * beta) ** k
-        lhs = (alpha ** k * series_L(SeriesRequest(rho=ra, k=k, m=-1), ctx).value
-               + beta ** k * series_L(SeriesRequest(rho=rb, k=k, m=-1), ctx).value)
-        rhs = (alpha ** k * derivative_term(k, -1, ra, ctx)
-               + beta ** k * derivative_term(k, -1, rb, ctx)
-               - (mp.pi / 2) ** (k - 1) * mpf(2) ** (-2 * k))
-    return _report("quasimodular", k, None, theta, ctx, lhs, rhs, t0)
+    """Weight-2 (quasi-modular) transformation: main at m = -1, whose
+    Bernoulli block is the constant -(pi/2)^{k-1} 2^{-2k}."""
+    return _cell("quasimodular", k, None, theta, ctx,
+                 lambda alpha, beta: _series_left(k, 1, alpha, beta, ctx))
 
 
 def _eta_jet(k: int, ctx: PrecisionContext) -> list:
@@ -437,31 +448,26 @@ def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """Generalized Dedekind-eta transformation (weight n^-1 series). At
     theta = 0, alpha = beta makes the lhs one expression minus itself and
     the rhs exactly 0: the report is marked as no check."""
-    t0 = time.perf_counter()
-    with ctx.scoped():
-        checked = mpf(theta) != 0
-        alpha, beta = alpha_beta(theta, ctx)
-        ra, rb = (2 * alpha) ** k, (2 * beta) ** k
-        lhs = (series_L(SeriesRequest(rho=ra, k=k, m=0), ctx).value
-               - series_L(SeriesRequest(rho=rb, k=k, m=0), ctx).value)
+    def sides(alpha, beta):
+        lhs = (series_L(SeriesRequest(rho=(2 * alpha) ** k, k=k, m=0), ctx).value
+               - series_L(SeriesRequest(rho=(2 * beta) ** k, k=k, m=0), ctx).value)
         sign = -1 if k % 2 else 1
         rhs = (sign * mpf(2) ** k * eta_derivative_term(k, theta, ctx)
                - sign * 2 * mp.pi ** (k - 1) * (beta ** k - alpha ** k) / mpf(24) ** k)
-    return _report("eta", k, None, theta, ctx, lhs, rhs, t0, checked)
+        return lhs, rhs
+
+    return _cell("eta", k, None, theta, ctx, sides, mpf(theta) != 0)
 
 
 def verify_lerch_general(k: int, m: int, ctx: PrecisionContext) -> VerificationReport:
-    """Odd-m specialization at alpha = beta = pi: the weighted series at
-    rho = (2 pi)^k against the derivative term plus pi^{km}/2 times the
-    Bernoulli block at alpha = beta = pi."""
-    check_params("lerch", k, m)
-    t0 = time.perf_counter()
-    with ctx.scoped():
-        rho = (2 * mp.pi) ** k
-        lhs = series_L(SeriesRequest(rho=rho, k=k, m=m), ctx).value
-        rhs = (derivative_term(k, m, rho, ctx)
-               + mp.pi ** (k * m) / 2 * bernoulli_block(k, m, mp.pi, mp.pi, ctx))
-    return _report("lerch", k, m, None, ctx, lhs, rhs, t0)
+    """Odd-m specialization of main at alpha = beta = pi: the weighted
+    series at rho = (2 pi)^k against the derivative term plus pi^{km}/2
+    times the Bernoulli block at alpha = beta = pi."""
+    def sides(alpha, beta):
+        L, D = _fold_bracket(k, m, alpha, ctx)
+        return L, D + alpha ** (k * m) / 2 * bernoulli_block(k, m, alpha, beta, ctx)
+
+    return _cell("lerch", k, m, None, ctx, sides)
 
 
 def verify(identity: str, *, k: int = 1, m: int = 1, theta=0,

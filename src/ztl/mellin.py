@@ -48,8 +48,6 @@ __all__ = [
     "meijer_g_psi_kernel", "psi_kernel",
 ]
 
-_CHUNK = 96
-
 # floor of the scale in the stopping rule of both quadratures
 _ABS_FLOOR = mpf("1e-5")
 # doublings a Cauchy circle may take past its first level
@@ -290,8 +288,8 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
             eps = rel * max(_ABS_FLOOR, abs(prev) if prev is not None else _ABS_FLOOR) / 10
             re, _, scale = f.eval_vertical(c, mpf(0), h, 1, grid=grid)
             total, thr, consec = re[0], None, 0
-            for j in range(1, jmax + 1, _CHUNK):
-                count = min(_CHUNK, jmax - j + 1)
+            for j in range(1, jmax + 1, special._RUN_CHUNK):
+                count = min(special._RUN_CHUNK, jmax - j + 1)
                 re, im, sc = f.eval_vertical(c, j * h, h, count, grid=grid)
                 if thr is None or sc != scale:
                     # a line's scale changes only while all its ints are 0

@@ -188,7 +188,8 @@ def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
     settings = mellin.line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
     tr: list = []
     v = mellin.line_integral(dual_product(k, rho * x, ctx), settings, ctx, trace=tr)
-    est = mpf(tr[-1]["estimate"]) if tr and tr[-1]["estimate"] else ctx.tolerance()
+    # line_integral returns only on a level that carries an estimate
+    est = mpf(tr[-1]["estimate"])
     return PsiValue(value=mp.ldexp(v, -k), error_estimate=mp.ldexp(est, -k),
                     strategy="inverse_mellin")
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from mpmath import mp, mpf, mpc
+from mpmath import bernfrac, mp, mpf, mpc
 from mpmath.libmp import from_man_exp, log_int_fixed, to_fixed
 from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 
@@ -71,13 +71,9 @@ _BERN: list[Fraction] = [Fraction(1)]          # B_0, B_1, ... grows on demand
 
 
 def _extend_bernoulli(n: int) -> None:
-    # recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0
-    while len(_BERN) <= n:
-        m = len(_BERN)
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * _BERN[j]
-        _BERN.append(-acc / (m + 1))
+    # mpmath's exact B_j; the registry check special.bernoulli_recurrence
+    # tests the table against sum_{j=0}^{m} C(m+1, j) B_j = 0
+    _BERN.extend(Fraction(*bernfrac(j)) for j in range(len(_BERN), n + 1))
 
 
 @dataclass(frozen=True)
@@ -115,12 +111,9 @@ _GAMMA_MEMO: dict = {}
 
 
 def _gamma_raw(s: mpc) -> mpc:
-    if s.imag == 0:
-        sr = s.real
-        if sr == int(sr) and sr <= 0:
-            raise PoleError(f"gamma pole at s={int(sr)}")
-        if sr == int(sr) and sr > 0 and sr < 30:
-            return mpc(mp.factorial(int(sr) - 1))
+    sr = s.real
+    if s.imag == 0 and sr == int(sr) and sr <= 0:
+        raise PoleError(f"gamma pole at s={int(sr)}")
     return mp.gamma(s)
 
 
@@ -239,7 +232,8 @@ def log_gamma1_jet(n: int, ctx: PrecisionContext) -> list:
 # For s_u = sigma + i(t0 + u*dt) the Dirichlet term n^{-s_u} equals
 # n^{-s_0} * (n^{-i dt})^u, so a whole run costs one complex multiplication
 # per (term, node) instead of one complex exponential. Runs are chunked so
-# Euler-Maclaurin sizes track the local |t|.
+# Euler-Maclaurin sizes track the local |t|; mellin.line_integral reads a
+# line in chunks of the same _RUN_CHUNK nodes.
 
 _ZLINE_MEMO: dict = {}
 _RUN_CHUNK = 96

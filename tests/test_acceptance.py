@@ -29,11 +29,14 @@ GRID_THETA = ("0", "0.3", "1.0")
 
 
 def test_criterion_1_main_identity_grid(ctx50):
-    """48 (k, m, theta) cases, rel_residual < 1e-30, < 30 s each, < 600 s total."""
+    """48 (k, m, theta) cases, rel_residual < 1e-30, < 30 s each, < 600 s total.
+    The 8 cases at theta = 0 with even m compare nothing and must say so
+    (checked=False); the other 40 must pass."""
     t0 = time.perf_counter()
     worst = mpf(0)
     slowest = 0.0
     failures = []
+    checked = 0
     for k in GRID_K:
         for m in GRID_M:
             for th in GRID_THETA:
@@ -43,12 +46,18 @@ def test_criterion_1_main_identity_grid(ctx50):
                 slowest = max(slowest, r.elapsed)
                 if not (r.rel_residual < mpf(10) ** -30):
                     failures.append((k, m, th, mp.nstr(r.rel_residual, 3)))
+                vacuous = th == "0" and m % 2 == 0
+                if r.checked == vacuous or not (vacuous or r.passed):
+                    failures.append((k, m, th, f"checked={r.checked} passed={r.passed}"))
+                checked += r.checked
                 assert r.elapsed < 30, f"case k={k} m={m} theta={th} took {r.elapsed:.1f}s"
     total = time.perf_counter() - t0
     ok = not failures and total < 600
-    _line(1, ok, f"48 cases, worst residual {mp.nstr(worst, 3)}, "
+    _line(1, ok, f"48 cases, {checked} checked, {48 - checked} no check, "
+                 f"worst residual {mp.nstr(worst, 3)}, "
                  f"slowest case {slowest:.1f}s, total {total:.0f}s")
     assert not failures, failures
+    assert checked == 40
     assert total < 600
 
 

@@ -2,6 +2,7 @@
 and the contour-shift cross checks."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
@@ -107,6 +108,12 @@ def test_bernoulli_block_empty_and_single(ctx50):
         assert idn.bernoulli_block(3, -2, mp.pi, mp.pi, ctx50) == 0
         blk = idn.bernoulli_block(2, -1, mpf(2), mp.pi ** 2 / 2, ctx50)
         assert abs(blk + (mp.pi / 2) * mpf(2) ** -4) < ctx50.tolerance(3)
+        # the m = -1 block is quasimodular's constant, bit for bit
+        for k in range(1, 6):
+            for th in (0, mpf("0.3")):
+                alpha, beta = idn.alpha_beta(th, ctx50)
+                assert (idn.bernoulli_block(k, -1, alpha, beta, ctx50)
+                        == -(mp.pi / 2) ** (k - 1) * mpf(2) ** (-2 * k))
 
 
 @pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 2), (2, 4)])
@@ -159,9 +166,36 @@ def test_eisenstein_theta_zero_kills_both_sides(ctx50):
         assert abs(r.lhs) < mpf(10) ** -40 and abs(r.rhs) < mpf(10) ** -40
 
 
-def test_eisenstein_requires_m_above_one(ctx50):
+@pytest.fixture
+def no_sides(monkeypatch):
+    """Any series request or series sum fails the test: a verifier must
+    reject bad parameters before it computes a side."""
+    def side(*a, **kw):
+        raise AssertionError("a side was evaluated")
+
+    monkeypatch.setattr(idn, "SeriesRequest", side)
+    monkeypatch.setattr(idn, "series_L", side)
+    monkeypatch.setattr(special, "lambert_series", side)
+
+
+def test_eisenstein_requires_m_above_one(ctx50, no_sides):
     with pytest.raises(special.DomainError):
         idn.verify_eisenstein(2, 1, mpf(1) / 5, ctx50)
+
+
+@pytest.mark.parametrize("verifier,args", [
+    # a namespace, since IdentityParams itself rejects k = 0
+    ("verify_main", (SimpleNamespace(k=0, m=1, theta=mpf("0.3")),)),
+    ("verify_ramanujan_classical", (0, mpf("0.3"))),
+    ("verify_dixit", (0, mpf("0.3"))),
+    ("verify_eisenstein", (0, 2, mpf("0.3"))),
+    ("verify_quasimodular", (0, mpf("0.3"))),
+    ("verify_eta", (0, mpf("0.3"))),
+    ("verify_lerch_general", (0, 1)),
+])
+def test_k_or_m_zero_rejected_before_any_side(ctx30, no_sides, verifier, args):
+    with pytest.raises(special.DomainError):
+        getattr(idn, verifier)(*args, ctx30)
 
 
 def test_eta_k1_closed_form_rhs(ctx50):
@@ -190,7 +224,7 @@ def test_lerch_values(ctx50):
         assert abs(special.zeta(3, ctx50) + 2 * L - 7 * mp.pi ** 3 / 180) < mpf(10) ** -30
 
 
-def test_lerch_rejects_even_m(ctx50):
+def test_lerch_rejects_even_m(ctx50, no_sides):
     with pytest.raises(special.DomainError):
         idn.verify_lerch_general(1, 2, ctx50)
 
