@@ -1,11 +1,9 @@
 """High-precision evaluation of the generalized Koshliakov function and
 numerical verification of the transformation identities it satisfies."""
 
-from .hp import (HpComplex, HpReal, PrecisionContext, PrecisionError,
-                 const_euler_gamma, const_log_2pi, const_pi, with_precision)
-from .special import (BernoulliTable, DivisorTable, DomainError, PoleError,
-                      bernoulli, bessel_k0, bessel_k_half, divisor_sieve,
-                      gamma, lambert_series, zeta)
+from .hp import PrecisionContext, PrecisionError, with_precision
+from .special import (DivisorTable, DomainError, PoleError, bernoulli, bessel_k0,
+                      divisor_sieve, gamma, lambert_series, zeta)
 from .mellin import (QuadratureError, QuadratureSettings, cauchy_derivative,
                      line_integral, meijer_g_psi_kernel)
 from .psi import PsiRequest, PsiValue, SeriesRequest, SeriesValue, psi, series_L

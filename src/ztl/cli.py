@@ -61,7 +61,7 @@ class RunConfig:
     identity: list[str] = field(default_factory=lambda: ["main"])
     k_list: list[int] = field(default_factory=lambda: [1])
     m_list: list[int] = field(default_factory=lambda: [1])
-    theta_list: list[str] = field(default_factory=lambda: ["0"])
+    theta_list: list = field(default_factory=lambda: ["0"])   # str, or mpf from --alpha
     out: str | None = None
     format: str = "csv"
     jobs: int = 0
@@ -122,16 +122,6 @@ def _check_identity_params(identity: str, k: int, m: int | None) -> None:
         raise UsageError(f"|2m+1| must be <= {MAX_ABS_WEIGHT}")
 
 
-def _theta_from_args(args, default: str) -> str:
-    if getattr(args, "alpha", None) is not None:
-        a = mpf(args.alpha)
-        if not a > 0:
-            raise UsageError("--alpha must be positive")
-        with mp.workdps(40):
-            return mp.nstr(mp.log(a / mp.pi), 30)
-    return args.theta if args.theta is not None else default
-
-
 def _print_trace(sink: list | None) -> None:
     if sink is not None:
         print(json.dumps(sink, indent=2))
@@ -141,11 +131,19 @@ def _print_trace(sink: list | None) -> None:
 # verify: a sweep of one cell
 
 def cmd_verify(args) -> int:
+    """One cell; --alpha becomes theta = log(alpha/pi) at the cell's working
+    precision, and the cell gets that mpf."""
     row = identities.IDENTITIES[args.identity]
+    digits = _digits(args.digits)
+    m = args.m if args.m is not None else row.default_m()
+    if args.alpha is not None:
+        theta = identities.IdentityParams.from_alpha(
+            args.k, m, args.alpha, with_precision(digits)).theta
+    else:
+        theta = args.theta if args.theta is not None else row.default_theta
     return _run(RunConfig(
-        digits=_digits(args.digits), identity=[args.identity], k_list=[args.k],
-        m_list=[args.m if args.m is not None else row.default_m()],
-        theta_list=[_theta_from_args(args, row.default_theta)], out=args.out, format=args.format,
+        digits=digits, identity=[args.identity], k_list=[args.k], m_list=[m],
+        theta_list=[theta], out=args.out, format=args.format,
         jobs=1, trace=args.trace, timing=args.timing))
 
 
@@ -349,13 +347,7 @@ def cmd_psi(args) -> int:
             with ctx.scoped():
                 x = mpf(xs_raw)
                 rho = mpf(args.rho)
-            if not x > 0 or not rho > 0:
-                raise UsageError("rho and x must be positive")
-            try:
-                req = PsiRequest(rho=rho, k=args.k, x=x, strategy=args.strategy)
-            except special.DomainError as exc:
-                raise UsageError(str(exc))
-            val = psi(req, ctx)
+            val = psi(PsiRequest(rho=rho, k=args.k, x=x, strategy=args.strategy), ctx)
             with ctx.scoped():
                 print(f"psi(rho={mp.nstr(rho, 12)}, k={args.k}, x={mp.nstr(x, 12)}) = "
                       f"{mp.nstr(val.value, digits)}  "

@@ -1,5 +1,4 @@
-"""Arbitrary-precision arithmetic contract: precision contexts, constants,
-decimal serialization.
+"""Arbitrary-precision arithmetic contract: the precision context.
 
 Everything downstream computes through this layer. Values are plain mpmath
 mpf/mpc numbers (binary mantissa); a PrecisionContext fixes the decimal
@@ -13,14 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc
-
-# Accepted by every numeric entry point.
-HpReal = mpf
-HpComplex = mpc
+from mpmath import mp, mpf
 
 MIN_DIGITS = 15
-MIN_GUARD = 10
+# decimal guard digits on top of ``digits``; they absorb cancellation in
+# residue and derivative formulas
+GUARD_DIGITS = 15
 
 # Extra bits on top of the decimal-digit request; fixed so that precision
 # accounting is uniform and testable.
@@ -34,28 +31,23 @@ class PrecisionError(ValueError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits plus internal guard digits.
+    """Working precision in decimal digits.
 
     All tolerances derive from ``digits``; all arithmetic runs at
-    ``digits + guard_digits`` decimal digits (converted to bits with a fixed
-    factor) so that guard digits absorb cancellation in residue and
-    derivative formulas.
+    ``digits + GUARD_DIGITS`` decimal digits (converted to bits with a fixed
+    factor).
     """
 
     digits: int
-    guard_digits: int = 15
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < MIN_DIGITS:
             raise PrecisionError(
                 f"digits must be an integer >= {MIN_DIGITS}, got {self.digits!r}")
-        if not isinstance(self.guard_digits, int) or self.guard_digits < MIN_GUARD:
-            raise PrecisionError(
-                f"guard_digits must be an integer >= {MIN_GUARD}, got {self.guard_digits!r}")
 
     @property
     def working_dps(self) -> int:
-        return self.digits + self.guard_digits
+        return self.digits + GUARD_DIGITS
 
     @property
     def prec_bits(self) -> int:
@@ -74,78 +66,7 @@ class PrecisionContext:
         with self.scoped():
             return mpf(x)
 
-    def mpc(self, re, im=0) -> mpc:
-        with self.scoped():
-            return mpc(re, im)
-
 
 def with_precision(digits: int) -> PrecisionContext:
-    """Build a context with the default guard; rejects digits < 15."""
+    """Build a context; rejects digits < 15."""
     return PrecisionContext(digits=digits)
-
-
-# ---------------------------------------------------------------------------
-# constants
-
-def const_pi(ctx: PrecisionContext) -> mpf:
-    with ctx.scoped():
-        return +mp.pi
-
-
-def const_euler_gamma(ctx: PrecisionContext) -> mpf:
-    with ctx.scoped():
-        return +mp.euler
-
-
-def const_log_2pi(ctx: PrecisionContext) -> mpf:
-    with ctx.scoped():
-        return mp.log(2 * mp.pi)
-
-
-# ---------------------------------------------------------------------------
-# decimal serialization: "±d.ddd…e±XX"; complex as "re + im*i"
-
-def real_to_str(x, ctx: PrecisionContext) -> str:
-    """Scientific-notation decimal string carrying the full working precision."""
-    x = mpf(x)
-    # enough decimal digits that binary->decimal->binary round-trips exactly
-    ndig = math.ceil(ctx.prec_bits * math.log10(2)) + 3
-    s = mp.nstr(x, ndig, strip_zeros=True, min_fixed=1, max_fixed=0,
-                show_zero_exponent=True)
-    if "e" not in s:
-        s += "e+0"
-    mantissa, exp = s.split("e")
-    sign = "+"
-    if exp[0] in "+-":
-        sign, exp = exp[0], exp[1:]
-    return f"{mantissa}e{sign}{exp.zfill(2)}"
-
-
-def real_from_str(s: str, ctx: PrecisionContext) -> mpf:
-    with ctx.scoped():
-        return mpf(s.strip())
-
-
-def complex_to_str(z, ctx: PrecisionContext) -> str:
-    z = mpc(z)
-    re = real_to_str(z.real, ctx)
-    im = real_to_str(abs(z.imag), ctx)
-    sign = "-" if z.imag < 0 else "+"
-    return f"{re} {sign} {im}*i"
-
-
-def complex_from_str(s: str, ctx: PrecisionContext) -> mpc:
-    body = s.strip()
-    if not body.endswith("*i"):
-        return mpc(real_from_str(body, ctx))
-    head = body[:-2]
-    # split on the central " + " / " - " separating real and imaginary parts
-    for idx in range(len(head) - 1, 0, -1):
-        if head[idx] in "+-" and head[idx - 1] == " ":
-            re_s = head[:idx - 1]
-            im_s = head[idx + 1:]
-            sign = -1 if head[idx] == "-" else 1
-            with ctx.scoped():
-                return mpc(real_from_str(re_s, ctx),
-                           sign * real_from_str(im_s, ctx))
-    raise ValueError(f"cannot parse complex literal: {s!r}")

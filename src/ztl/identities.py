@@ -53,8 +53,12 @@ class IdentityParams:
 
     @classmethod
     def from_alpha(cls, k, m, alpha, ctx):
+        """theta = log(alpha/pi) at the context's working precision."""
         with ctx.scoped():
-            return cls(k=k, m=m, theta=mp.log(mpf(alpha) / mp.pi))
+            alpha = mpf(alpha)
+            if not alpha > 0:
+                raise special.DomainError("alpha must be positive")
+            return cls(k=k, m=m, theta=mp.log(alpha / mp.pi))
 
     def alpha_beta(self, ctx):
         return alpha_beta(self.theta, ctx)

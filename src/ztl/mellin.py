@@ -188,14 +188,13 @@ class VerticalProduct:
             self.ln_base = mp.log(base)
         self._fixed: dict = {}   # dt -> rotation step; (c, shift) -> scale
 
-    def eval_vertical(self, c, t0, dt, count, grid=None):
+    def eval_vertical(self, c, t0, dt, count, grid):
         """(re, im, scale): the value at c + i(t0 + u dt), u < count, is
-        scale * (re[u] + i im[u]). t0 and dt are multiples of ``grid``
-        (default |dt|), whose int multiples index the line's products."""
+        scale * (re[u] + i im[u]). t0 and dt are multiples of ``grid``,
+        whose int multiples index the line's products."""
         ctx = self.ctx
         with ctx.scoped():
-            c, t0, dt = mpf(c), mpf(t0), mpf(dt)
-            grid = abs(dt) if grid is None else mpf(grid)
+            c, t0, dt, grid = mpf(c), mpf(t0), mpf(dt), mpf(grid)
             line = self._line((self.zeta_factors, self.gamma_power, self.cos_power,
                                c._mpf_, ctx.prec_bits, grid._mpf_))
             vals = line.read(partial(self._product_run, c), t0, dt, count, grid)
@@ -315,17 +314,15 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
 # ---------------------------------------------------------------------------
 # Cauchy-circle derivative
 
-def cauchy_derivative(f, order: int, ctx: PrecisionContext, center=0,
-                      trace: list | None = None):
-    """f^(order)(center) = order!/(2 pi i) * contour integral of
-    f(s)/(s-center)^(order+1) over the circle of radius 1/4, inside which f
-    must be analytic, via an M-point trapezoid from M = max(64, 8(order+1))
+def cauchy_derivative(f, order: int, ctx: PrecisionContext,
+                      *, trace: list | None = None):
+    """f^(order)(0) = order!/(2 pi i) * contour integral of f(s)/s^(order+1)
+    over the circle of radius 1/4, inside which f must be analytic, via an M-point trapezoid from M = max(64, 8(order+1))
     nodes, M doubled until the embedded estimate disc^2/scale of the finer
     value is at most 10^-digits * scale (see the module docstring)."""
     if order < 0:
         raise special.DomainError("derivative order must be >= 0")
     with ctx.scoped():
-        a = mpc(center)
         r = mpf(1) / 4
         rel = mpf(10) ** (-ctx.digits)
         fac = mp.factorial(order) / r ** order
@@ -333,7 +330,7 @@ def cauchy_derivative(f, order: int, ctx: PrecisionContext, center=0,
 
         def term(j, M):
             w = mp.expjpi(mpf(2 * j) / M)
-            return f(a + r * w) * w ** (-order)
+            return f(r * w) * w ** (-order)
 
         def level(i, prev):
             M = max(64, 8 * (order + 1)) << i

@@ -2,8 +2,8 @@
 
 Complex Gamma (mpmath's, behind a pole check and a memo), complex Riemann
 zeta (Euler-Maclaurin at every abscissa), exact rational Bernoulli
-numbers, modified Bessel K0 (its series and asymptotic sums in fixed point)
-and K_{1/2}, the Piltz divisor sieve, Lambert series, and
+numbers, modified Bessel K0 (its series and asymptotic sums in fixed
+point), the Piltz divisor sieve, Lambert series, and
 ``sum_until_negligible``, the one adaptive truncation rule that every slowly
 decaying series of the package stops by.
 
@@ -48,8 +48,8 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 from .hp import PrecisionContext
 
 __all__ = [
-    "PoleError", "DomainError", "BernoulliTable", "DivisorTable",
-    "bernoulli", "gamma", "zeta", "bessel_k0", "bessel_k_half",
+    "PoleError", "DomainError", "DivisorTable",
+    "bernoulli", "gamma", "zeta", "bessel_k0",
     "divisor_sieve", "sum_until_negligible", "lambert_series",
     "zeta_vertical_run", "zeta_jet", "log_gamma1_jet", "series_mul",
     "series_pow", "series_exp", "clear_caches",
@@ -76,27 +76,12 @@ def _extend_bernoulli(n: int) -> None:
     _BERN.extend(Fraction(*bernfrac(j)) for j in range(len(_BERN), n + 1))
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact rationals B_0..B_N."""
-
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
-
-    def to_csv(self) -> str:
-        lines = ["m,numerator,denominator"]
-        for m, b in enumerate(self.values):
-            lines.append(f"{m},{b.numerator},{b.denominator}")
-        return "\n".join(lines) + "\n"
-
-
-def bernoulli(N: int) -> BernoulliTable:
+def bernoulli(N: int) -> tuple[Fraction, ...]:
+    """The exact rationals (B_0, ..., B_N)."""
     if N < 0:
         raise DomainError("Bernoulli order bound must be >= 0")
     _extend_bernoulli(N)
-    return BernoulliTable(values=tuple(_BERN[: N + 1]))
+    return tuple(_BERN[: N + 1])
 
 
 def bernoulli_frac(n: int) -> Fraction:
@@ -497,17 +482,7 @@ class FixedLine:
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel functions
-
-def bessel_k_half(z, ctx: PrecisionContext):
-    """K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}, Re(z) > 0."""
-    with ctx.scoped():
-        z = mpc(z)
-        if z.real <= 0:
-            raise DomainError("bessel_k_half requires Re(z) > 0")
-        v = mp.sqrt(mp.pi / (2 * z)) * mp.exp(-z)
-        return v.real if z.imag == 0 else v
-
+# modified Bessel function K0
 
 def bessel_k0(z, ctx: PrecisionContext):
     """K_0(z), Re(z) > 0; series for small |z|, asymptotic for large |z|.
@@ -602,12 +577,6 @@ class DivisorTable:
 
     def __len__(self) -> int:
         return len(self.counts)
-
-    def to_csv(self) -> str:
-        lines = [f"n,d_{self.k}(n)"]
-        for n, c in enumerate(self.counts, start=1):
-            lines.append(f"{n},{c}")
-        return "\n".join(lines) + "\n"
 
 
 def divisor_sieve(k: int, N: int) -> DivisorTable:

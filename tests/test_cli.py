@@ -6,6 +6,9 @@ import json
 from ztl import cli, identities, mellin
 
 
+PI_60 = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -30,6 +33,7 @@ def test_usage_errors_exit_two(capsys):
     assert run(["verify", "lerch", "--k", "1", "--m", "2", "--digits", "30"]) == 2
     assert run(["verify", "main", "--k", "1", "--m", "9", "--digits", "30"]) == 2  # |2m+1| cap
     assert run(["psi", "--k", "1", "--rho", "2", "--x", "-1", "--digits", "30"]) == 2
+    assert "error: rho and x must be positive" in capsys.readouterr().err
     assert run(["psi", "--k", "3", "--rho", "2", "--x", "1", "--strategy",
                 "closed_form", "--digits", "30"]) == 2
     assert run(["verify", "main", "--k", "1", "--m", "1", "--digits", "10"]) == 2
@@ -238,11 +242,19 @@ def test_env_digits_override(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_alpha_flag_equivalent_to_theta(capsys):
+def test_alpha_flag_equivalent_to_theta(tmp_path, capsys):
     assert run(["verify", "ramanujan", "--m", "1",
                 "--alpha", "3.141592653589793238462643383279502884", "--digits", "30"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # alpha = pi to 59 decimals: theta = log(alpha/pi) ~ -1.5e-60, read at
+    # the working precision, not at 53 bits (where it came out near 1e-17)
+    path = tmp_path / "alpha.json"
+    assert run(["verify", "ramanujan", "--m", "1", "--alpha", PI_60, "--digits", "50",
+                "--format", "json", "--out", str(path)]) == 0
+    capsys.readouterr()
+    (row,) = json.loads(path.read_text())
+    assert abs(float(row["theta"])) < 1e-50, row["theta"]
 
 
 def test_numerical_failure_exit_three(monkeypatch, capsys):

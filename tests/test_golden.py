@@ -31,7 +31,8 @@ def test_eta_theta_zero_residual_is_exact_zero(tmp_path, capsys):
     assert cli.main(["sweep", "--identity", "eta", "--k", "1,2,3", "--theta", "0",
                      "--digits", "30", "--out", str(out)]) == 0
     capsys.readouterr()
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["k"] for r in rows] == ["1", "2", "3"]
     assert all(r["abs_res"] == r["rel_res"] == "0.0" for r in rows), rows
 

@@ -132,7 +132,8 @@ def test_vertical_product_cos_powers(ctx50, p):
     # the stepped cos(pi s/2)^p against mpmath's, every sign of the power
     with ctx50.scoped():
         c, t0, dt = mpf(7) / 2, mpf(-3), mpf(3) / 4
-        vals = fixed_to_mpc(mellin.VerticalProduct(ctx50, cos_power=p).eval_vertical(c, t0, dt, 12))
+        f = mellin.VerticalProduct(ctx50, cos_power=p)
+        vals = fixed_to_mpc(f.eval_vertical(c, t0, dt, 12, dt))
         for u, v in enumerate(vals):
             ref = mp.cospi(mpc(c, t0 + u * dt) / 2) ** p
             assert abs(v - ref) <= ctx50.tolerance() * abs(ref)

@@ -6,15 +6,13 @@ import pytest
 from ztl import cli, selftest, with_precision
 
 # digits per entry: 50 for the properties stated at 50 digits, 30 for the rest
-AT_50 = ["hp.constants_stable", "special.lambert_two_forms", "special.bessel_k_half",
-         "special.bessel_k0_mpmath", "special.zeta_run_paired",
+AT_50 = ["special.lambert_two_forms", "special.bessel_k0_mpmath", "special.zeta_run_paired",
          "mellin.product_conjugate_symmetry", "mellin.cauchy_order_zero",
          "mellin.truncation_bound", "mellin.fixed_line_cancellation", "psi.gamma_free_fold",
          "psi.bessel_pair_convolution",
          "identities.theta_reflection_duality",
          "identities.jets_match_circles"]
-AT_30 = ["hp.add_sub_roundtrip", "hp.serialization_roundtrip",
-         "special.gamma_reflection", "special.gamma_duplication",
+AT_30 = ["hp.add_sub_roundtrip", "special.gamma_reflection", "special.gamma_duplication",
          "special.zeta_functional_equation", "special.euler_even_zeta",
          "special.stirling_decay", "special.bernoulli_recurrence",
          "special.divisor_multiplicative", "mellin.mesh_refinement_geometric",
