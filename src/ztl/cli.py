@@ -393,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("identity", choices=identities.IDENTITY_NAMES)
     pv.add_argument("--k", type=int, default=1)
     pv.add_argument("--m", type=int, default=None)
-    pv.add_argument("--theta", default=None)
-    pv.add_argument("--alpha", default=None, help="alternative to --theta: theta = log(alpha/pi)")
+    at = pv.add_mutually_exclusive_group()
+    at.add_argument("--theta", default=None)
+    at.add_argument("--alpha", default=None, help="instead of --theta: theta = log(alpha/pi)")
     pv.add_argument("--timing", action="store_true", help="include real seconds in file output")
     _add_common(pv)
     pv.set_defaults(fn=cmd_verify)

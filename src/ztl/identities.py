@@ -60,9 +60,6 @@ class IdentityParams:
                 raise special.DomainError("alpha must be positive")
             return cls(k=k, m=m, theta=mp.log(alpha / mp.pi))
 
-    def alpha_beta(self, ctx):
-        return alpha_beta(self.theta, ctx)
-
 
 @dataclass(frozen=True)
 class Identity:
@@ -491,8 +488,8 @@ def lambda_line_value(k: int, m: int, rho, ctx: PrecisionContext):
     zeta^k(2m+1+s) zeta^k(1-s) cos^{-1}(pi s/2) (rho/(2pi)^k)^{-s}."""
     with ctx.scoped():
         lam = mpf(-2 * m) - mpf(5) / 2
-        settings = mellin.lambda_line_settings(ctx, lam, poly_power=2.0 * k + 1)
-        return mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
+        return mellin.line_integral(dual_product(k, rho, ctx, m),
+                                    mellin.lambda_line_settings(lam), ctx)
 
 
 def self_duality_check(k: int, m: int, rho, ctx: PrecisionContext):

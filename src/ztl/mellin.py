@@ -21,6 +21,12 @@ est = disc^2/scale, which can only over-state the error (Bailey, Jeyabalan &
 Li, Exp. Math. 14, 2005; mpmath's ``quadrature.estimate_error``).
 Refinement stops once est <= 10^-digits * scale.
 
+That bound covers only the discretization. One truncation rule, read off
+the integrand, ends every level of a line: the half-line stops at the fifth
+node in a row past t = 5 below 10^-digits * max(10^-5, |ref|)/10, where ref
+is the previous level's value or, on the first level, the level's running
+sum, read again at each chunk of ``special._RUN_CHUNK`` nodes.
+
 One driver, ``_refine``, runs the levels of both quadratures: it records
 every level's step, applies the stopping rule, registers the steps with the
 ``--trace`` sink and raises ``QuadratureError`` carrying them.
@@ -30,7 +36,6 @@ line's level is an exact sum of fixed-point ints on an int node index.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
@@ -44,13 +49,13 @@ from . import special
 __all__ = [
     "QuadratureError", "QuadratureSettings",
     "line_settings", "lambda_line_settings",
-    "VerticalProduct", "line_integral", "cauchy_derivative",
-    "meijer_g_psi_kernel", "psi_kernel",
+    "VerticalProduct", "line_integral", "cauchy_derivative", "psi_kernel",
 ]
 
 # floor of the scale in the stopping rule of both quadratures
 _ABS_FLOOR = mpf("1e-5")
-# doublings a Cauchy circle may take past its first level
+# doublings a vertical line or a Cauchy circle may take past its first level
+_LINE_REFINE_LIMIT = 10
 _CIRCLE_REFINE_LIMIT = 7
 
 # optional diagnostics: when a list is installed here, every quadrature
@@ -82,41 +87,27 @@ class QuadratureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Trapezoid on the vertical line Re(s)=c, step h0 (halved on refinement),
-    truncation cap T (grown 1.5x on refinement). A level is accepted when
-    the embedded estimate disc^2/scale is at most 10^-digits * scale, where
-    scale = max(|value|, 1e-5); at most refine_limit halvings."""
+    """Trapezoid on the vertical line Re(s) = c from step h0, halved on
+    refinement; the tail test of ``line_integral`` ends every level."""
 
     c: mpf
     h0: mpf
-    T: mpf
-    refine_limit: int = 10
 
 
-def _truncation_height(digits: int, poly_power: float) -> mpf:
-    # smallest T with e^(-pi T/2) T^p < 10^-(digits+5)
-    target = (digits + 5) * math.log(10)
-    T = max(8.0, 2 * target / math.pi)
-    for _ in range(6):
-        T = (2 / math.pi) * (target + poly_power * math.log(T))
-    return mpf(math.ceil(T))
-
-
-def line_settings(ctx: PrecisionContext, c, poly_power: float = 2.0) -> QuadratureSettings:
+def line_settings(c) -> QuadratureSettings:
     """Settings for a production line integral, from h = 1/8; requires c > 1
     (the strip in which every integrand here is analytic up to its leftmost
     kept pole)."""
     c = mpf(c)
     if not c > 1:
         raise special.DomainError(f"line abscissa must satisfy c > 1, got {c}")
-    return QuadratureSettings(c=c, h0=mpf(1) / 8, T=_truncation_height(ctx.digits, poly_power))
+    return QuadratureSettings(c=c, h0=mpf(1) / 8)
 
 
-def lambda_line_settings(ctx: PrecisionContext, lam, poly_power: float = 4.0) -> QuadratureSettings:
+def lambda_line_settings(lam) -> QuadratureSettings:
     """Settings for the negative-abscissa line used only by the self-duality
     cross-check; analyticity strip there is ~1/2 wide, so start at h=1/32."""
-    return QuadratureSettings(c=mpf(lam), h0=mpf(1) / 32,
-                              T=_truncation_height(ctx.digits, poly_power))
+    return QuadratureSettings(c=mpf(lam), h0=mpf(1) / 32)
 
 
 def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
@@ -266,49 +257,53 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
     Every factor of ``f`` is real on the real axis and its base is positive,
     so f(c - it) is the conjugate of f(c + it): the lower half-line folds
     exactly onto the upper one, and the result is h/(2 pi) times
-    f(c) + 2 Re sum_{j >= 1} f(c + ijh). Level i has step h0/2^i and cap
-    T (3/2)^i; every node is an int multiple of grid = h0/2^refine_limit. A
-    level sums fixed-point ints exactly (``special.FixedLine`` bounds their
-    rounding by 2^-(prec+24) of the line's first nonzero node, below the
-    2^-prec sum |v_j| of mpc arithmetic also on a line that cancels) and
-    scales the sum once. The half-line stops after 5 consecutive nodes past
-    t = 5 with |v| < eps, tested on ints as re^2 + im^2 < (eps/scale)^2.
-    Raises QuadratureError when refine_limit is exhausted.
+    f(c) + 2 Re sum_{j >= 1} f(c + ijh). Level i has step h0/2^i; every node
+    is an int multiple of grid = h0/2^_LINE_REFINE_LIMIT. A level sums
+    fixed-point ints exactly (``special.FixedLine`` bounds their rounding by
+    2^-(prec+24) of the line's first nonzero node, below the 2^-prec
+    sum |v_j| of mpc arithmetic also on a line that cancels) and scales the
+    sum once. The tail test of the module docstring ends each level, on ints
+    as re^2 + im^2 < (eps/scale)^2, and its step records that last height t.
+    Raises DomainError, before any node is read, for a product that does not
+    decay like e^(-pi t/2) (gamma_power - cos_power < 1), and
+    QuadratureError when _LINE_REFINE_LIMIT halvings are exhausted.
     """
+    if f.gamma_power - f.cos_power < 1:
+        raise special.DomainError(f"a line product needs gamma_power - cos_power >= 1, "
+                                  f"got {f.gamma_power} - {f.cos_power}")
     with ctx.scoped():
         c = settings.c
         rel = mpf(10) ** (-ctx.digits)
-        grid = settings.h0 / 2 ** settings.refine_limit
+        grid = settings.h0 / 2 ** _LINE_REFINE_LIMIT
+        chunk = special._RUN_CHUNK
 
         def level(i, prev):
             h = settings.h0 / 2 ** i
-            T = settings.T * (mpf(3) / 2) ** i
-            jmax, jtail = int(T / h), int(5 / h) + 1
-            eps = rel * max(_ABS_FLOOR, abs(prev) if prev is not None else _ABS_FLOOR) / 10
+            w = h / (2 * mp.pi)
+            jtail = int(5 / h) + 1
             re, _, scale = f.eval_vertical(c, mpf(0), h, 1, grid=grid)
-            total, thr, consec = re[0], None, 0
-            for j in range(1, jmax + 1, special._RUN_CHUNK):
-                count = min(special._RUN_CHUNK, jmax - j + 1)
-                re, im, sc = f.eval_vertical(c, j * h, h, count, grid=grid)
-                if thr is None or sc != scale:
-                    # a line's scale changes only while all its ints are 0
-                    scale, thr = sc, int(mp.ceil((eps / sc) ** 2))
-                stop = count
-                for u in range(max(0, jtail - j), count):
+            total, consec, j, thr = re[0], 0, 1, None
+            while True:
+                re, im, sc = f.eval_vertical(c, j * h, h, chunk, grid=grid)
+                if thr is None or sc != scale or prev is None:
+                    # a line's scale changes only while all its ints are 0;
+                    # level 0 has no previous value and reads its running sum
+                    scale = sc
+                    ref = abs(w * scale * total) if prev is None else abs(prev)
+                    thr = int(mp.ceil((rel * max(_ABS_FLOOR, ref) / 10 / scale) ** 2))
+                for u in range(max(0, jtail - j), chunk):
                     x = re[u] * re[u]
                     if x < thr and x + im[u] * im[u] < thr:
                         consec += 1
                         if consec == 5:
-                            stop = u + 1
-                            break
+                            total += 2 * sum(re[:u + 1])
+                            return w * (scale * total), {"h": float(h), "t": float((j + u) * h)}
                     else:
                         consec = 0
-                total += 2 * sum(re[:stop])
-                if consec == 5:
-                    break
-            return (h / (2 * mp.pi)) * (scale * total), {"h": float(h), "T": float(T)}
+                total += 2 * sum(re)
+                j += chunk
 
-        return _refine("line", {"c": float(c)}, settings.refine_limit, rel, level, trace)
+        return _refine("line", {"c": float(c)}, _LINE_REFINE_LIMIT, rel, level, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +350,5 @@ def psi_kernel(k: int, z, ctx: PrecisionContext):
         z = mpf(z)
         if not z > 0 or k < 1:
             raise special.DomainError("psi_kernel requires k >= 1 and z > 0")
-        settings = line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
         f = VerticalProduct(ctx, gamma_power=k, cos_power=k - 1, neg_s_base=z)
-        return line_integral(f, settings, ctx)
-
-
-def meijer_g_psi_kernel(k: int, z, ctx: PrecisionContext):
-    """G^{k+1,0}_{0,2k}( (0)_k, 1/2; (1/2)_{k-1} | z^2 / 2^{2k} ) via the
-    single-variable reduced line integral (never the raw 2k-factor form)."""
-    with ctx.scoped():
-        return 2 ** (k - 1) * mp.pi ** (1 - mpf(k) / 2) * psi_kernel(k, z, ctx)
+        return line_integral(f, line_settings(mpf(5) / 2), ctx)

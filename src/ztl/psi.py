@@ -185,9 +185,9 @@ def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
     """(1/2 pi i) times the integral over Re(s) = 5/2 of
     Gamma^k(s) zeta^k(s) cos^{k-1}(pi s/2) (rho x)^{-s}, as 2^-k times the
     integral of its Gamma-free form ``dual_product(k, rho x)``."""
-    settings = mellin.line_settings(ctx, mpf(5) / 2, poly_power=2.0 * k)
     tr: list = []
-    v = mellin.line_integral(dual_product(k, rho * x, ctx), settings, ctx, trace=tr)
+    v = mellin.line_integral(dual_product(k, rho * x, ctx), mellin.line_settings(mpf(5) / 2),
+                             ctx, trace=tr)
     # line_integral returns only on a level that carries an estimate
     est = mpf(tr[-1]["estimate"])
     return PsiValue(value=mp.ldexp(v, -k), error_estimate=mp.ldexp(est, -k),
@@ -245,8 +245,7 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
         rho = mpf(req.rho)
         k, m = req.k, req.m
         if strategy == "fold":
-            c = mpf(fold_line(m)[0])
-            settings = mellin.line_settings(ctx, c, poly_power=float(k) * (float(c) - 0.5))
+            settings = mellin.line_settings(fold_line(m)[0])
             v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
             return SeriesValue(value=mp.ldexp(v, -k), terms_used=None, strategy="fold")
 

@@ -569,7 +569,6 @@ def _k0_series(z: mpc, prec: int) -> mpc:
 class DivisorTable:
     """d_k(1..N) by repeated Dirichlet convolution with the all-ones function."""
 
-    k: int
     counts: tuple[int, ...]                      # counts[n-1] = d_k(n)
 
     def d(self, n: int) -> int:
@@ -590,7 +589,7 @@ def divisor_sieve(k: int, N: int) -> DivisorTable:
             for n in range(d, N + 1, d):
                 nxt[n] += cd
         counts = nxt
-    return DivisorTable(k=k, counts=tuple(counts[1:]))
+    return DivisorTable(counts=tuple(counts[1:]))
 
 
 def sum_until_negligible(term, ctx: PrecisionContext, run: int, cap: int, what: str):

@@ -1,6 +1,5 @@
 """Command-line surface: exit codes, config handling, output stability."""
 
-import dataclasses
 import json
 
 from ztl import cli, identities, mellin
@@ -257,6 +256,13 @@ def test_alpha_flag_equivalent_to_theta(tmp_path, capsys):
     assert abs(float(row["theta"])) < 1e-50, row["theta"]
 
 
+def test_theta_and_alpha_together_exit_two(capsys):
+    # both flags set theta, so giving both is a usage error
+    assert run(["verify", "ramanujan", "--m", "1", "--theta", "0.7", "--alpha", "3.14159",
+                "--digits", "15"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_three(monkeypatch, capsys):
     def boom(*a, **kw):
         raise mellin.QuadratureError("forced failure", trace=[{"h": 0.5}])
@@ -301,9 +307,7 @@ def test_psi_trace_output(capsys):
 
 
 def test_line_failure_prints_trace_tail_without_trace_flag(monkeypatch, capsys):
-    line_settings = mellin.line_settings
-    monkeypatch.setattr(mellin, "line_settings", lambda *a, **kw: dataclasses.replace(
-        line_settings(*a, **kw), refine_limit=0))
+    monkeypatch.setattr(mellin, "_LINE_REFINE_LIMIT", 0)
     assert run(["verify", "main", "--k", "2", "--digits", "15"]) == 3
     err = capsys.readouterr().err
     assert "line quadrature did not converge within 0 refinements" in err

@@ -24,6 +24,30 @@ def test_sweep_all_matches_golden_csv(tmp_path, capsys):
     assert out.read_bytes() == GOLDEN.read_bytes()
 
 
+# The edge set at 30 digits: the m = -7 fold lines (c = 15.5), m = 7 at
+# θ = -2.5, k = 5, eta at k = 4 and lerch (3, 7), the rows of five sweeps
+# under one header (13 rows). m = 7 at θ = 3 is left out: there k = 3 FAILs
+# at 30 digits and k = 2 PASSes with sides of opposite sign, and a golden
+# file must not pin a wrong PASS.
+EDGE = Path(__file__).parent / "data" / "edge_30.csv"
+EDGE_ARGS = [["--identity", "main", "--k", "1,2,3", "--m", "-7", "--theta", "3,-2.5"],
+             ["--identity", "main", "--k", "1,2,3", "--m", "7", "--theta", "-2.5"],
+             ["--identity", "main", "--k", "5", "--m", "1,-1", "--theta", "0.3"],
+             ["--identity", "eta", "--k", "4", "--theta", "0.5"],
+             ["--identity", "lerch", "--k", "3", "--m", "7"]]
+
+
+def test_edge_sweeps_match_golden_csv(tmp_path, capsys):
+    lines = []
+    for i, args in enumerate(EDGE_ARGS):
+        out = tmp_path / f"edge{i}.csv"
+        assert cli.main(["sweep", *args, "--digits", "30", "--jobs", "2", "--out", str(out)]) == 0
+        rows = out.read_bytes().splitlines(keepends=True)
+        lines += rows if i == 0 else rows[1:]
+    capsys.readouterr()
+    assert b"".join(lines) == EDGE.read_bytes()
+
+
 def test_eta_theta_zero_residual_is_exact_zero(tmp_path, capsys):
     # at θ = 0 both sides are exactly 0: α = β, and the even θ-free jet of
     # the residue term meets the exact zeros of the e^{-kθs} jet

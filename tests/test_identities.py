@@ -242,7 +242,7 @@ def test_identity_params():
     ctx = hp.with_precision(30)
     with ctx.scoped():
         p = IdentityParams(k=2, m=1, theta=ctx.mpf("0.25"))
-        a, b = p.alpha_beta(ctx)
+        a, b = idn.alpha_beta(p.theta, ctx)
         assert abs(a * b - mp.pi ** 2) < ctx.tolerance(2)
         q = IdentityParams.from_alpha(2, 1, a, ctx)
         assert abs(q.theta - mpf("0.25")) < ctx.tolerance(2)

@@ -9,13 +9,13 @@ from ztl import hp, mellin, special
 
 def test_settings_require_c_above_one(ctx50):
     with pytest.raises(special.DomainError):
-        mellin.line_settings(ctx50, mpf(1) / 2)
+        mellin.line_settings(mpf(1) / 2)
 
 
 def test_mellin_inversion_of_exp(ctx50):
     # (1/2 pi i) int Gamma(s) x^{-s} ds = e^{-x}
     with ctx50.scoped():
-        st = mellin.line_settings(ctx50, 2, poly_power=1.5)
+        st = mellin.line_settings(2)
         for x in (1, 5):
             f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=x)
             v = mellin.line_integral(f, st, ctx50)
@@ -26,7 +26,7 @@ def test_embedded_estimate_accepts_second_level(ctx50):
     # at h0 = 1/8 the first discrepancy is ~1e-44, so its square already
     # clears 1e-50: the h = 1/16 level is accepted without a confirming level
     with ctx50.scoped():
-        st = mellin.line_settings(ctx50, 2)
+        st = mellin.line_settings(2)
         for x in (1, 5):
             f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=x)
             tr = []
@@ -36,11 +36,11 @@ def test_embedded_estimate_accepts_second_level(ctx50):
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
 
 
-def test_non_convergence_raises_with_last_values(ctx50):
+def test_non_convergence_raises_with_last_values(ctx50, monkeypatch):
+    monkeypatch.setattr(mellin, "_LINE_REFINE_LIMIT", 1)
     with ctx50.scoped():
         f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=2)
-        st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 2, T=mpf(40),
-                                       refine_limit=1)
+        st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 2)
         with pytest.raises(mellin.QuadratureError) as exc:
             mellin.line_integral(f, st, ctx50)
         # with no trace list passed and no sink installed, the error still
@@ -48,6 +48,8 @@ def test_non_convergence_raises_with_last_values(ctx50):
         steps = exc.value.trace
         assert [t["h"] for t in steps] == [0.5, 0.25]
         assert all(mpf(t["value"]) > 0 for t in steps)
+        # the tail test ended both levels past t = 5
+        assert all(t["t"] > 5 for t in steps)
 
 
 def test_cauchy_polynomial(ctx50):
@@ -96,27 +98,43 @@ def test_circle_first_level_node_floor(ctx50):
 
 
 class _Notch(mellin.VerticalProduct):
-    """A fake product: 1 on the line, but 0 for 23/2 <= t <= 12."""
+    """A fake product: 1 on the line, but 0 for 23/2 <= t <= 12. Its
+    gamma_power = 1 admits it to line_integral; its nodes are not Gamma's."""
 
     def _product_run(self, c, t0, dt, count):
         return [mpc(0) if mpf(23) / 2 <= t0 + u * dt <= 12 else mpc(1) for u in range(count)]
 
 
-def test_line_stops_when_a_chunk_ends_the_tail(ctx30):
+def test_line_stops_when_a_chunk_ends_the_tail(ctx30, monkeypatch):
     # nodes t = j/8, j = 92..96, are 0: the fifth small node ends the first
-    # 96-node chunk, and the half-line must stop there. A factor-free
-    # product shares its memo key with any other, so the memo is cleared
-    # around the fake
-    st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 8, T=mpf(40), refine_limit=0)
+    # 96-node chunk, and the half-line must stop there. The fake shares its
+    # memo key with Gamma(s) on the same line, so the memo is cleared
+    # around it
+    monkeypatch.setattr(mellin, "_LINE_REFINE_LIMIT", 0)
+    st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 8)
     tr = []
     special.clear_caches()
     try:
         with pytest.raises(mellin.QuadratureError):
-            mellin.line_integral(_Notch(ctx30), st, ctx30, trace=tr)
+            mellin.line_integral(_Notch(ctx30, gamma_power=1), st, ctx30, trace=tr)
     finally:
         special.clear_caches()
+    assert tr[0]["t"] == 12.0
     with ctx30.scoped():
         assert abs(mpf(tr[0]["value"]) - mpf(183) / (16 * mp.pi)) < ctx30.tolerance()
+
+
+@pytest.mark.parametrize("powers", [{}, {"cos_power": 1}])
+def test_line_rejects_a_product_that_does_not_decay(ctx30, monkeypatch, powers):
+    # with gamma_power - cos_power < 1 the product does not fall like
+    # e^(-pi t/2), and the tail test could never end the half-line: the
+    # integral refuses before it reads a node
+    def no_nodes(*a, **kw):
+        raise AssertionError("eval_vertical called")
+    f = mellin.VerticalProduct(ctx30, **powers)
+    monkeypatch.setattr(f, "eval_vertical", no_nodes)
+    with pytest.raises(special.DomainError):
+        mellin.line_integral(f, mellin.line_settings(2), ctx30)
 
 
 @pytest.mark.parametrize("base", [0, -3, mpc(2, 1)])
@@ -186,13 +204,6 @@ def test_kernel_k2_quarter_circle_argument(ctx50):
     with ctx50.scoped():
         pair = 2 * special.bessel_k0(4 * mp.expjpi(mpf(1) / 4), ctx50).real
         assert abs(mellin.psi_kernel(2, 4, ctx50) - pair) < ctx50.tolerance(5)
-
-
-def test_meijer_g_normalization_k1(ctx50):
-    with ctx50.scoped():
-        z = mpf(2)
-        g = mellin.meijer_g_psi_kernel(1, z, ctx50)
-        assert abs(g - mp.sqrt(mp.pi) * mp.exp(-z)) < ctx50.tolerance(5)
 
 
 def test_kernel_large_z_is_negligible(ctx30):

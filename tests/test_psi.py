@@ -176,7 +176,7 @@ def test_fold_agrees_at_shifted_abscissa(ctx50, k, m, rho):
         c = mpf(max(1, -2 * m)) + mpf(3) / 2
 
         def fold(f, line):
-            st = mellin.line_settings(ctx50, line, poly_power=float(k) * (float(line) - 0.5))
+            st = mellin.line_settings(line)
             return mellin.line_integral(f, st, ctx50)
 
         vals = [mp.ldexp(fold(dual_product(k, rho, ctx50, m), line), -k) for line in (c, c + 1)]
@@ -223,11 +223,11 @@ def _gamma_cos_nodes(g, ctx):
 
 def _line_at(h0):
     # the same VerticalProduct line read through quadratures whose node
-    # grids h0/2^refine_limit differ: node n is a different t on each
+    # grids h0/2^_LINE_REFINE_LIMIT differ: node n is a different t on each
     ctx = with_precision(15)
     with ctx.scoped():
         f = VerticalProduct(ctx, gamma_power=1, neg_s_base=3)
-        st = mellin.QuadratureSettings(c=mpf(2), h0=h0, T=mellin.line_settings(ctx, 2).T)
+        st = mellin.QuadratureSettings(c=mpf(2), h0=h0)
         return mellin.line_integral(f, st, ctx)
 
 

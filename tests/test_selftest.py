@@ -8,7 +8,7 @@ from ztl import cli, selftest, with_precision
 # digits per entry: 50 for the properties stated at 50 digits, 30 for the rest
 AT_50 = ["special.lambert_two_forms", "special.bessel_k0_mpmath", "special.zeta_run_paired",
          "mellin.product_conjugate_symmetry", "mellin.cauchy_order_zero",
-         "mellin.truncation_bound", "mellin.fixed_line_cancellation", "psi.gamma_free_fold",
+         "mellin.tail_below_tolerance", "mellin.fixed_line_cancellation", "psi.gamma_free_fold",
          "psi.bessel_pair_convolution",
          "identities.theta_reflection_duality",
          "identities.jets_match_circles"]
