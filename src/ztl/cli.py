@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from mpmath import mp, mpf
 
@@ -291,19 +291,36 @@ def _print_numeric_failure(exc, where=""):
 
 
 def _write_rows(path, fmt, reports, timing=False):
-    if fmt == "csv":
-        body = identities.CSV_HEADER + "\n" + "".join(
-            r.csv_row(timing=timing) + "\n" for r in reports)
-    elif fmt == "json":
+    """fmt is csv or json: argparse and ``_build_config`` reject any other."""
+    if fmt == "json":
         body = json.dumps([r.json_dict(timing=timing) for r in reports], indent=2) + "\n"
     else:
-        raise UsageError(f"unknown output format {fmt!r}")
+        body = identities.CSV_HEADER + "\n" + "".join(
+            r.csv_row(timing=timing) + "\n" for r in reports)
     with open(path, "w") as fh:
         fh.write(body)
 
 
+_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _build_config(args) -> RunConfig:
+    """Flags over the config file over the defaults. A config key must name
+    a RunConfig field; trace and timing take 0/1/true/false/yes/no in any
+    case."""
     conf = _parse_config_file(args.config) if args.config else {}
+    known = {f.name for f in fields(RunConfig)}
+    for key in conf:
+        if key not in known:
+            raise UsageError(f"{args.config}: unknown config key {key!r}")
+
+    def switch(flag, key):
+        value = conf.get(key, "no")
+        if value.lower() not in _SWITCHES:
+            raise UsageError(f"{args.config}: {key} must be 0/1/true/false/yes/no, "
+                             f"got {value!r}")
+        return flag or _SWITCHES[value.lower()]
+
     def pick(flag, key, default, conv=lambda x: x):
         if flag is not None:
             return flag
@@ -323,9 +340,13 @@ def _build_config(args) -> RunConfig:
         out=pick(args.out, "out", None),
         format=pick(args.format, "format", "csv"),
         jobs=pick(args.jobs, "jobs", 0, int),
-        trace=bool(args.trace or conf.get("trace") in ("1", "true", "yes")),
-        timing=bool(getattr(args, "timing", False) or conf.get("timing") in ("1", "true", "yes")),
+        trace=switch(args.trace, "trace"),
+        timing=switch(args.timing, "timing"),
     )
+    if cfg.jobs < 0:
+        raise UsageError("--jobs must be >= 0")
+    if cfg.format not in ("csv", "json"):
+        raise UsageError(f"unknown output format {cfg.format!r}")
     for name in cfg.identity:
         if name != "all" and name not in identities.IDENTITY_NAMES:
             raise UsageError(f"unknown identity {name!r}")
@@ -414,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--timing", action="store_true",
                     help="include real seconds in output (breaks byte-stability)")
     _add_common(ps)
-    ps.set_defaults(fn=cmd_sweep)
+    ps.set_defaults(fn=cmd_sweep, format=None)   # None: the config file's, else csv
 
     pp = sub.add_parser("psi", help="evaluate the generalized Koshliakov function")
     pp.add_argument("--rho", required=True)

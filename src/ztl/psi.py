@@ -83,7 +83,6 @@ class SeriesRequest:
 class SeriesValue:
     value: mpf
     terms_used: int | None
-    strategy: str
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +246,9 @@ def series_L(req: SeriesRequest, ctx: PrecisionContext,
         if strategy == "fold":
             settings = mellin.line_settings(fold_line(m)[0])
             v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
-            return SeriesValue(value=mp.ldexp(v, -k), terms_used=None, strategy="fold")
+            return SeriesValue(value=mp.ldexp(v, -k), terms_used=None)
 
         ep = max(2 * m + 1, 0)
         acc, _, N = _kernel_sum(lambda N: series_weights(k, m, N)[N] * mp.power(N, -ep),
                                 _kernel(k, ctx), rho, ctx, 5, req.N_max, "weighted series")
-        return SeriesValue(value=acc, terms_used=N, strategy="terms")
+        return SeriesValue(value=acc, terms_used=N)

@@ -1,8 +1,11 @@
 """Named property checks over every module: the one registry that both
 `ztl selftest` and pytest (tests/test_selftest.py) run.
 
-Each check takes a precision context and returns (passed, detail). Each
-property carries its own bound: a fixed ``ctx.tolerance(slack)``, or
+Each entry of ``CHECKS`` is (module, name, check, digits). The check takes
+a precision context and returns (passed, detail); digits, 30 or 50, is the
+precision pytest runs it at, while `ztl selftest` runs every entry at its
+own --digits. A property is stated here once: no test restates an entry.
+Each property carries its own bound: a fixed ``ctx.tolerance(slack)``, or
 ``identities.pass_tolerance`` (10^-(digits-20) at digits >= 40,
 10^-(digits-10) below). Every check passes from digits=15 up; the CLI
 default is digits=40.
@@ -30,8 +33,8 @@ def check_hp_add_sub_roundtrip(ctx):
     worst = mpf(0)
     with ctx.scoped():
         for _ in range(50):
-            a = mpf(rng.uniform(-1, 1)) * mpf(10) ** rng.randint(-8, 8)
-            b = mpf(rng.uniform(-1, 1)) * mpf(10) ** rng.randint(-8, 8)
+            a = mpf(rng.uniform(-1, 1)) * mpf(10) ** rng.randint(-10, 10)
+            b = mpf(rng.uniform(-1, 1)) * mpf(10) ** rng.randint(-10, 10)
             err = abs(((a + b) - b) - a) / max(abs(a), mpf(1) / 10 ** ctx.digits)
             worst = max(worst, err)
         ok = worst < ctx.tolerance(2)
@@ -40,8 +43,8 @@ def check_hp_add_sub_roundtrip(ctx):
 
 def check_gamma_reflection(ctx):
     rng = random.Random(_SEED + 2)
-    tol = identities.pass_tolerance(ctx)
     with ctx.scoped():
+        tol = mp.pi * ctx.tolerance(5)
         worst = mpf(0)
         for _ in range(100):
             s = mpc(rng.uniform(-5, 5), rng.uniform(-5, 5))
@@ -54,7 +57,7 @@ def check_gamma_reflection(ctx):
 
 def check_gamma_duplication(ctx):
     rng = random.Random(_SEED + 3)
-    tol = identities.pass_tolerance(ctx)
+    tol = ctx.tolerance(5)
     with ctx.scoped():
         worst = mpf(0)
         for _ in range(100):
@@ -69,11 +72,11 @@ def check_gamma_duplication(ctx):
 
 def check_zeta_functional_equation(ctx):
     rng = random.Random(_SEED + 4)
-    tol = identities.pass_tolerance(ctx)
+    tol = ctx.tolerance(5)
     with ctx.scoped():
         worst = mpf(0)
         for _ in range(40):
-            s = mpc(rng.uniform(-3, -1), rng.uniform(-10, 10))
+            s = mpc(rng.uniform(-3, -1), rng.uniform(-12, 12))
             lhs = special.zeta(s, ctx)
             rhs = (2 ** s * mp.pi ** (s - 1) * special.gamma(1 - s, ctx)
                    * special.zeta(1 - s, ctx) * mp.sinpi(s / 2))
@@ -368,10 +371,11 @@ def check_psi_scaling(ctx):
     tol = ctx.tolerance(2)
     with ctx.scoped():
         worst = mpf(0)
-        for (rho, x) in [(mpf(3), mpf(2)), (2 * mp.pi, mpf(1) / 2)]:
-            a = psi(PsiRequest(rho=rho, k=2, x=x), ctx).value
-            b = psi(PsiRequest(rho=rho * x, k=2, x=mpf(1)), ctx).value
-            worst = max(worst, abs(a - b))
+        for k in (1, 2):
+            for (rho, x) in [(mpf(3), mpf(2)), (2 * mp.pi, mpf(1) / 2), (mpf(3), mpf(7) / 2)]:
+                a = psi(PsiRequest(rho=rho, k=k, x=x), ctx).value
+                b = psi(PsiRequest(rho=rho * x, k=k, x=mpf(1)), ctx).value
+                worst = max(worst, abs(a - b))
         return worst < tol, f"psi(rho,x) vs psi(rho x,1): {mp.nstr(worst, 3)}"
 
 
@@ -514,33 +518,33 @@ def check_residue_assembly(ctx):
 
 
 CHECKS = [
-    ("hp", "add_sub_roundtrip", check_hp_add_sub_roundtrip),
-    ("special", "gamma_reflection", check_gamma_reflection),
-    ("special", "gamma_duplication", check_gamma_duplication),
-    ("special", "zeta_functional_equation", check_zeta_functional_equation),
-    ("special", "euler_even_zeta", check_euler_even_zeta),
-    ("special", "stirling_decay", check_stirling_decay),
-    ("special", "bernoulli_recurrence", check_bernoulli_recurrence),
-    ("special", "divisor_multiplicative", check_divisor_multiplicative),
-    ("special", "lambert_two_forms", check_lambert_two_forms),
-    ("special", "bessel_k0_mpmath", check_bessel_k0_mpmath),
-    ("special", "zeta_run_paired", check_zeta_run_paired),
-    ("mellin", "product_conjugate_symmetry", check_product_conjugate_symmetry),
-    ("mellin", "mesh_refinement_geometric", check_mesh_refinement_geometric),
-    ("mellin", "cauchy_order_zero", check_cauchy_order_zero),
-    ("mellin", "tail_below_tolerance", check_tail_below_tolerance),
-    ("mellin", "fixed_line_cancellation", check_fixed_line_cancellation),
-    ("psi", "gamma_free_fold", check_gamma_free_fold),
-    ("psi", "strategy_agreement", check_psi_strategy_agreement),
-    ("psi", "shape", check_psi_shape),
-    ("psi", "scaling_symmetry", check_psi_scaling),
-    ("psi", "series_tail", check_series_tail),
-    ("psi", "bessel_pair_convolution", check_bessel_pair_convolution),
-    ("identities", "theta_reflection_duality", check_theta_reflection_duality),
-    ("identities", "jets_match_circles", check_jets_match_circles),
-    ("identities", "reindex_exact", check_reindex_exact),
-    ("identities", "lerch_value", check_lerch_value),
-    ("identities", "residue_assembly", check_residue_assembly),
+    ("hp", "add_sub_roundtrip", check_hp_add_sub_roundtrip, 50),
+    ("special", "gamma_reflection", check_gamma_reflection, 30),
+    ("special", "gamma_duplication", check_gamma_duplication, 30),
+    ("special", "zeta_functional_equation", check_zeta_functional_equation, 30),
+    ("special", "euler_even_zeta", check_euler_even_zeta, 30),
+    ("special", "stirling_decay", check_stirling_decay, 30),
+    ("special", "bernoulli_recurrence", check_bernoulli_recurrence, 30),
+    ("special", "divisor_multiplicative", check_divisor_multiplicative, 30),
+    ("special", "lambert_two_forms", check_lambert_two_forms, 50),
+    ("special", "bessel_k0_mpmath", check_bessel_k0_mpmath, 50),
+    ("special", "zeta_run_paired", check_zeta_run_paired, 50),
+    ("mellin", "product_conjugate_symmetry", check_product_conjugate_symmetry, 50),
+    ("mellin", "mesh_refinement_geometric", check_mesh_refinement_geometric, 30),
+    ("mellin", "cauchy_order_zero", check_cauchy_order_zero, 50),
+    ("mellin", "tail_below_tolerance", check_tail_below_tolerance, 50),
+    ("mellin", "fixed_line_cancellation", check_fixed_line_cancellation, 50),
+    ("psi", "gamma_free_fold", check_gamma_free_fold, 50),
+    ("psi", "strategy_agreement", check_psi_strategy_agreement, 30),
+    ("psi", "shape", check_psi_shape, 30),
+    ("psi", "scaling_symmetry", check_psi_scaling, 30),
+    ("psi", "series_tail", check_series_tail, 30),
+    ("psi", "bessel_pair_convolution", check_bessel_pair_convolution, 50),
+    ("identities", "theta_reflection_duality", check_theta_reflection_duality, 50),
+    ("identities", "jets_match_circles", check_jets_match_circles, 50),
+    ("identities", "reindex_exact", check_reindex_exact, 30),
+    ("identities", "lerch_value", check_lerch_value, 30),
+    ("identities", "residue_assembly", check_residue_assembly, 30),
 ]
 
 
@@ -548,7 +552,7 @@ def run(digits: int = 40, name_filter: str = "") -> bool:
     ctx = with_precision(digits)
     all_ok = True
     ran = 0
-    for module, name, fn in CHECKS:
+    for module, name, fn, _ in CHECKS:
         full = f"{module}.{name}"
         if name_filter and name_filter not in full:
             continue

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from ztl import cli, identities, mellin
 
 
@@ -40,6 +42,8 @@ def test_usage_errors_exit_two(capsys):
     assert run(["psi", "--k", "1", "--rho", "1", "--x", "1", "--digits", "0"]) == 2
     assert run(["selftest", "--digits", "0", "--filter", "reindex"]) == 2
     assert "digits must be an integer >= 15, got 0" in capsys.readouterr().err
+    assert run(["sweep", "--identity", "ramanujan", "--jobs", "-1", "--digits", "15"]) == 2
+    assert "error: --jobs must be >= 0" in capsys.readouterr().err
 
 
 def test_psi_single_value(capsys):
@@ -217,18 +221,29 @@ def test_sweep_empty_grid_exit_two(capsys):
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("identity=ramanujan\nm_list=1\ntheta_list=0\n"
-                   "digits=30    # comment\n")
-    out = tmp_path / "o.csv"
+                   "digits=30    # comment\nformat=json\n")
+    out = tmp_path / "o.json"
     assert run(["sweep", "--config", str(cfg), "--m", "1,-1", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert len(out.read_text().splitlines()) == 3   # flag overrode m_list
-
-
-def test_config_file_bad_line(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("this is not a key value line\n")
-    assert run(["sweep", "--config", str(cfg)]) == 2
+    assert len(json.loads(out.read_text())) == 2   # flag overrode m_list
+    assert run(["sweep", "--config", str(cfg), "--format", "csv", "--out", str(out)]) == 0
     capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 2   # and --format overrode format
+
+
+@pytest.mark.parametrize("text,error", [
+    pytest.param("this is not a key value line", "expected key=value", id="no-equals"),
+    pytest.param("k = 1,2\nidentity=ramanujan", "unknown config key 'k'", id="unknown-key"),
+    pytest.param("trace=on", "trace must be 0/1/true/false/yes/no, got 'on'", id="trace-on"),
+    pytest.param("timing=2", "timing must be 0/1/true/false/yes/no, got '2'", id="timing-2"),
+    pytest.param("jobs=-1", "--jobs must be >= 0", id="negative-jobs"),
+    pytest.param("format=xml", "unknown output format 'xml'", id="format-xml"),
+])
+def test_config_file_bad_line(tmp_path, capsys, text, error):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    assert run(["sweep", "--config", str(cfg), "--digits", "15"]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_env_digits_override(monkeypatch, capsys):

@@ -4,6 +4,8 @@
 import csv
 from pathlib import Path
 
+import pytest
+
 from ztl import cli
 
 # ztl sweep --identity all --k 1,2 --m 1,-1,2 --theta 0.5,-0.3 --digits 15:
@@ -17,9 +19,10 @@ GOLDEN_ARGS = ["sweep", "--identity", "all", "--k", "1,2", "--m", "1,-1,2",
                "--theta", "0.5,-0.3", "--digits", "15"]
 
 
-def test_sweep_all_matches_golden_csv(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_all_matches_golden_csv(tmp_path, capsys, jobs):
     out = tmp_path / "all.csv"
-    assert cli.main(GOLDEN_ARGS + ["--jobs", "2", "--out", str(out)]) == 0
+    assert cli.main(GOLDEN_ARGS + ["--jobs", jobs, "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == GOLDEN.read_bytes()
 

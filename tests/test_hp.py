@@ -1,7 +1,6 @@
 """The precision contract: digits, guard digits, working precision and its scope."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from ztl import hp
@@ -59,18 +58,6 @@ def test_pi_rounds_at_15_digits():
     ctx = hp.with_precision(15)
     with ctx.scoped():
         assert mp.nstr(+mp.pi, 15) == "3.14159265358979"
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.floats(-1, 1, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
-       st.floats(-1, 1, allow_nan=False).filter(lambda v: abs(v) > 1e-3),
-       st.integers(-10, 10), st.integers(-10, 10))
-def test_add_sub_roundtrip(af, bf, ae, be):
-    ctx = hp.with_precision(50)
-    with ctx.scoped():
-        a = mpf(af) * mpf(10) ** ae
-        b = mpf(bf) * mpf(10) ** be
-        assert abs(((a + b) - b) - a) <= abs(a) * ctx.tolerance(2)
 
 
 def test_correct_rounding_at_working_precision(ctx50):

@@ -116,23 +116,6 @@ def test_bernoulli_block_empty_and_single(ctx50):
                         == -(mp.pi / 2) ** (k - 1) * mpf(2) ** (-2 * k))
 
 
-@pytest.mark.parametrize("k,m", [(1, 1), (2, 1), (3, 2), (2, 4)])
-def test_bernoulli_block_reindex_exact(k, m):
-    coeffs = idn.bernoulli_block_coeffs(k, m)
-    assert coeffs == [(-1) ** (m + 1) * q for q in reversed(coeffs)]
-
-
-def test_main_reduces_to_lambert_route_k1(ctx50):
-    # assembled sides equal the literal Lambert-series sides term for term
-    with ctx50.scoped():
-        th = mpf(1) / 2
-        r_main = idn.verify_main(IdentityParams(k=1, m=1, theta=th), ctx50)
-        r_ram = idn.verify_ramanujan_classical(1, th, ctx50)
-        assert r_main.passed and r_ram.passed
-        assert abs(r_main.lhs - r_ram.lhs) < mpf(10) ** -30
-        assert abs(r_main.rhs - r_ram.rhs) < mpf(10) ** -30
-
-
 def test_ramanujan_negative_m_is_even_eisenstein(ctx50):
     with ctx50.scoped():
         r = idn.verify_ramanujan_classical(-2, mpf(3) / 10, ctx50)
@@ -213,15 +196,6 @@ def test_eta_theta_zero_trivial(ctx50):
     with ctx50.scoped():
         r = idn.verify_eta(2, mpf(0), ctx50)
         assert abs(r.lhs) < mpf(10) ** -45 and abs(r.rhs) < mpf(10) ** -40
-
-
-def test_lerch_values(ctx50):
-    with ctx50.scoped():
-        r = idn.verify_lerch_general(1, 1, ctx50)
-        assert r.passed
-        # zeta(3) + 2 L = 7 pi^3 / 180
-        L = r.lhs
-        assert abs(special.zeta(3, ctx50) + 2 * L - 7 * mp.pi ** 3 / 180) < mpf(10) ** -30
 
 
 def test_lerch_rejects_even_m(ctx50, no_sides):

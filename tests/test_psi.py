@@ -38,13 +38,6 @@ def test_auto_strategy_selection(ctx30):
         assert psi(PsiRequest(rho=3, k=3, x=1), ctx30).strategy == "inverse_mellin"
 
 
-def test_k2_inverse_mellin_vs_bessel_sum(ctx50):
-    with ctx50.scoped():
-        a = psi(PsiRequest(rho=4, k=2, x=1, strategy="closed_form"), ctx50)
-        b = psi(PsiRequest(rho=4, k=2, x=1, strategy="inverse_mellin"), ctx50)
-        assert abs(a.value - b.value) < ctx50.tolerance(8)
-
-
 def test_k2_equals_half_omega(ctx50):
     # with rho = 4: sum d(j) [K0(4 eps sqrt(j)) + conj] = Psi_{4,2}(1)
     with ctx50.scoped():
@@ -76,33 +69,6 @@ def test_term_sum_matches_inverse_mellin_k3(ctx30):
         a = psi(PsiRequest(rho=600, k=3, x=1, strategy="term_sum"), ctx30)
         b = psi(PsiRequest(rho=600, k=3, x=1, strategy="inverse_mellin"), ctx30)
         assert abs(a.value - b.value) < ctx30.tolerance(8)
-
-
-def test_scaling_in_rho_x_product(ctx50):
-    with ctx50.scoped():
-        for k in (1, 2):
-            a = psi(PsiRequest(rho=mpf(3), k=k, x=mpf(7) / 2), ctx50)
-            b = psi(PsiRequest(rho=mpf(21) / 2, k=k, x=1), ctx50)
-            assert abs(a.value - b.value) < ctx50.tolerance(2)
-
-
-def test_k1_positive_strictly_decreasing(ctx30):
-    with ctx30.scoped():
-        vals = [psi(PsiRequest(rho=1, k=1, x=mpf(x) / 2), ctx30).value
-                for x in range(1, 21)]
-        assert all(v > 0 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_k2_magnitude_decays_but_sign_oscillates(ctx30):
-    # the k=2 kernel is an oscillatory Bessel pair: no positivity, but decay
-    with ctx30.scoped():
-        small = psi(PsiRequest(rho=1, k=2, x=2), ctx30).value
-        tiny = psi(PsiRequest(rho=1, k=2, x=60), ctx30).value
-        assert abs(tiny) < abs(small)
-        signs = {mp.sign(psi(PsiRequest(rho=1, k=2, x=x), ctx30).value)
-                 for x in (1, 10, 24, 40)}
-        assert len(signs) == 2
 
 
 # ---------------------------------------------------------------------------
