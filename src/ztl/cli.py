@@ -324,9 +324,10 @@ def _build_config(args) -> RunConfig:
     def pick(flag, key, default, conv=lambda x: x):
         if flag is not None:
             return flag
-        if key in conf:
-            return conv(conf[key])
-        return default
+        try:
+            return conv(conf[key]) if key in conf else default
+        except ValueError:   # int; the list converters raise UsageError
+            raise UsageError(f"{args.config}: {key} must be an integer, got {conf[key]!r}")
     cfg = RunConfig(
         digits=_digits(pick(args.digits, "digits", None, int)),
         identity=pick(_str_list(args.identity) if args.identity is not None else None,
@@ -470,6 +471,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         _print_numeric_failure(exc)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # stdout closed early (``ztl ... | head``): devnull takes the flush at exit
+        sys.stdout = open(os.devnull, "w")
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ the upper half-line only: the product is real on the real axis.
 
 Both quadratures use the plain trapezoid rule, which is spectrally accurate
 for analytic integrands that decay exponentially (line) or are periodic
-(circle), and refines by node doubling so earlier evaluations are never
-wasted.
+(circle), and refine by node doubling; a line level reads the previous
+level's nodes again from the product memo and sums them anew.
 
 Stopping rule: the trapezoid error on a strip or annulus of analyticity
 behaves like C*exp(-2 pi d/h) on a line and C*rho^M on a circle, so it
@@ -31,7 +31,7 @@ One driver, ``_refine``, runs the levels of both quadratures: it records
 every level's step, applies the stopping rule, registers the steps with the
 ``--trace`` sink and raises ``QuadratureError`` carrying them.
 ``line_integral`` and ``cauchy_derivative`` only compute a level's value; a
-line's level is an exact sum of fixed-point ints on an int node index.
+line's level is an exact sum of Horner chunk sums of fixed-point ints.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ class VerticalProduct:
     (an eps = -1 factor by conjugation), cos advances by one multiply per
     node at 16 extra bits. Lines that carry zeta factors are Gamma-free
     (``psi.dual_product``); Gamma^g serves the Meijer-G kernel
-    ``psi_kernel``, its nodes from the scalar memo. Of base^{-s}, the
-    rotation e^{-it ln base} is seeded once per chunk and advances by one
-    fixed-point complex multiply per node, and base^{-c} rides on the
-    chunk's scale: a known node costs two int complex multiplies.
+    ``psi_kernel``, its nodes from the scalar memo. Of base^{-s}, base^{-c}
+    rides on the chunk's scale, and the rotation e^{-it ln base} is handed
+    back as a seed per chunk and a step, so ``_chunk_sum`` sums a chunk by
+    Horner's rule: a known node costs one int complex multiply.
 
     A base that is not a positive real raises DomainError: with it, the
     product is real on the real axis, the premise of ``line_integral``.
@@ -180,8 +180,9 @@ class VerticalProduct:
         self._fixed: dict = {}   # dt -> rotation step; (c, shift) -> scale
 
     def eval_vertical(self, c, t0, dt, count, grid):
-        """(re, im, scale): the value at c + i(t0 + u dt), u < count, is
-        scale * (re[u] + i im[u]). t0 and dt are multiples of ``grid``,
+        """(P, rot, scale): the value at c + i(t0 + u dt), u < count, is
+        scale * P[u] * base^{-i(t0 + u dt)}, P[u] the line's (re, im) ints,
+        rot as ``_chunk_sum`` takes it. t0 and dt are multiples of ``grid``,
         whose int multiples index the line's products."""
         ctx = self.ctx
         with ctx.scoped():
@@ -193,18 +194,9 @@ class VerticalProduct:
             if dt._mpf_ not in memo:
                 sr, si = self._rotation(dt, W)
                 memo[dt._mpf_] = sr, sr + si, si - sr
-            sr, ssum, sdif = memo[dt._mpf_]
-            zr, zi = self._rotation(t0, W)
-            re, im = [], []
-            for pr, pi in vals:   # three-multiply complex products, exact
-                k = zr * (pr + pi)
-                re.append((k - pi * (zr + zi)) >> W)
-                im.append((k + pr * (zi - zr)) >> W)
-                k = sr * (zr + zi)
-                zr, zi = (k - zi * ssum) >> W, (k + zr * sdif) >> W
             if (c._mpf_, line.shift) not in memo:
                 memo[c._mpf_, line.shift] = mp.exp(-c * self.ln_base) * line.unit()
-            return re, im, memo[c._mpf_, line.shift]
+            return vals, (W, self._rotation(t0, W), memo[dt._mpf_]), memo[c._mpf_, line.shift]
 
     def _line(self, key):
         return special._PRODUCT_MEMO.setdefault(key, special.FixedLine(self.ctx.prec_bits))
@@ -250,6 +242,20 @@ class VerticalProduct:
         return vals
 
 
+def _chunk_sum(P, n, rot):
+    """sum_{u<n} P[u] seed z^u as (re, im) ints in P's units, by Horner's rule
+    in z: rot = (W, seed, z), e^{-i t0 ln base} and e^{-i dt ln base} as ints
+    with W fractional bits, z as (zr, zr + zi, zi - zr). Every step is a
+    three-multiply complex product, exact but for its >> W."""
+    W, (zr, zi), (sr, ssum, sdif) = rot
+    qr, qi = P[n - 1]
+    for pr, pi in reversed(P[:n - 1]):
+        k = sr * (qr + qi)
+        qr, qi = ((k - qi * ssum) >> W) + pr, ((k + qr * sdif) >> W) + pi
+    k = zr * (qr + qi)
+    return (k - qi * (zr + zi)) >> W, (k + qr * (zi - zr)) >> W
+
+
 def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: PrecisionContext,
                   *, trace: list | None = None) -> mpf:
     """(1/2 pi i) * integral of the VerticalProduct ``f`` over Re(s) = c.
@@ -262,8 +268,9 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
     fixed-point ints exactly (``special.FixedLine`` bounds their rounding by
     2^-(prec+24) of the line's first nonzero node, below the 2^-prec
     sum |v_j| of mpc arithmetic also on a line that cancels) and scales the
-    sum once. The tail test of the module docstring ends each level, on ints
-    as re^2 + im^2 < (eps/scale)^2, and its step records that last height t.
+    sum once. The tail test of the module docstring ends each level, on the
+    base-free ints as pr^2 + pi^2 < (eps/scale)^2 (|base^{-it}| = 1), so no
+    node past the stop is rotated; its step records that last height t.
     Raises DomainError, before any node is read, for a product that does not
     decay like e^(-pi t/2) (gamma_power - cos_power < 1), and
     QuadratureError when _LINE_REFINE_LIMIT halvings are exhausted.
@@ -281,10 +288,10 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
             h = settings.h0 / 2 ** i
             w = h / (2 * mp.pi)
             jtail = int(5 / h) + 1
-            re, _, scale = f.eval_vertical(c, mpf(0), h, 1, grid=grid)
-            total, consec, j, thr = re[0], 0, 1, None
+            P, _, scale = f.eval_vertical(c, mpf(0), h, 1, grid=grid)
+            total, consec, j, thr = P[0][0], 0, 1, None
             while True:
-                re, im, sc = f.eval_vertical(c, j * h, h, chunk, grid=grid)
+                P, rot, sc = f.eval_vertical(c, j * h, h, chunk, grid=grid)
                 if thr is None or sc != scale or prev is None:
                     # a line's scale changes only while all its ints are 0;
                     # level 0 has no previous value and reads its running sum
@@ -292,15 +299,16 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
                     ref = abs(w * scale * total) if prev is None else abs(prev)
                     thr = int(mp.ceil((rel * max(_ABS_FLOOR, ref) / 10 / scale) ** 2))
                 for u in range(max(0, jtail - j), chunk):
-                    x = re[u] * re[u]
-                    if x < thr and x + im[u] * im[u] < thr:
+                    pr, pi = P[u]
+                    x = pr * pr
+                    if x < thr and x + pi * pi < thr:
                         consec += 1
                         if consec == 5:
-                            total += 2 * sum(re[:u + 1])
+                            total += 2 * _chunk_sum(P, u + 1, rot)[0]
                             return w * (scale * total), {"h": float(h), "t": float((j + u) * h)}
                     else:
                         consec = 0
-                total += 2 * sum(re)
+                total += 2 * _chunk_sum(P, chunk, rot)[0]
                 j += chunk
 
         return _refine("line", {"c": float(c)}, _LINE_REFINE_LIMIT, rel, level, trace)

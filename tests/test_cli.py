@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, config handling, output stability."""
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -238,12 +241,27 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     pytest.param("timing=2", "timing must be 0/1/true/false/yes/no, got '2'", id="timing-2"),
     pytest.param("jobs=-1", "--jobs must be >= 0", id="negative-jobs"),
     pytest.param("format=xml", "unknown output format 'xml'", id="format-xml"),
+    pytest.param("jobs=two", "bad.cfg: jobs must be an integer, got 'two'", id="jobs-two"),
+    pytest.param("digits=abc", "bad.cfg: digits must be an integer, got 'abc'", id="digits-abc"),
 ])
 def test_config_file_bad_line(tmp_path, capsys, text, error):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text + "\n")
-    assert run(["sweep", "--config", str(cfg), "--digits", "15"]) == 2
+    assert run(["sweep", "--config", str(cfg)]) == 2
     assert error in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly(monkeypatch, capsys):
+    # the reader went away (``ztl ... | head``): exit 1 with nothing on
+    # stderr, and stdout left on devnull so the flush at exit cannot raise
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["verify", "eisenstein", "--k", "1", "--digits", "15"]) == 1
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
 
 
 def test_env_digits_override(monkeypatch, capsys):

@@ -157,14 +157,16 @@ def test_vertical_product_cos_powers(ctx50, p):
             assert abs(v - ref) <= ctx50.tolerance() * abs(ref)
 
 
+@pytest.mark.parametrize("n", [1, 37, 96])
 @pytest.mark.parametrize("digits", [30, 50, 80])
-def test_fixed_line_chunk_keeps_its_guard_bits(digits):
-    # one 96-node chunk at each t0 of the k = 2, m = 1 fold product at
-    # rho = (2 pi e^0.3)^2: scale * sum(re + i im) from eval_vertical against
+def test_fixed_line_chunk_keeps_its_guard_bits(digits, n):
+    # the first n nodes of one 96-node chunk at each t0 of the k = 2, m = 1
+    # fold product at rho = (2 pi e^0.3)^2 (n < 96: the partial chunk where a
+    # level stops): the Horner sum scale * _chunk_sum against
     # sum P_j rho^-s_j from the same P_j, summed at twice the precision. The
-    # guard bits of FixedLine keep the gap below 17 * 2^-prec sum |v_j|; the
-    # bound is 2^16 * 2^-prec sum |v_j|, which W = prec - 70 overshoots by
-    # more than 10^16
+    # gap measures below 34 * 2^-prec sum |v_j| at n = 1 and 18 at n = 37
+    # and 96; the bound is 2^16 * 2^-prec sum |v_j|, which W = prec - 70
+    # overshoots by more than 10^16
     ctx, wide = hp.with_precision(digits), hp.with_precision(2 * digits)
     special.clear_caches()
     with ctx.scoped():
@@ -173,12 +175,13 @@ def test_fixed_line_chunk_keeps_its_guard_bits(digits):
     f = mellin.VerticalProduct(ctx, zeta_factors=[(0, 1, 2), (3, 1, 2)], gamma_power=2,
                                cos_power=1, neg_s_base=rho)
     for t0 in (0, 6, 30):
-        re, im, scale = f.eval_vertical(c, t0, h, 96, grid)
+        P, rot, scale = f.eval_vertical(c, t0, h, 96, grid)
+        re, im = mellin._chunk_sum(P, n, rot)
         with ctx.scoped():
-            P = f._product_run(c, mpf(t0), h, 96)
+            P = f._product_run(c, mpf(t0), h, n)
         with wide.scoped():
             v = [p * mp.exp(-mpc(c, t0 + j * h) * f.ln_base) for j, p in enumerate(P)]
-            gap = abs(scale * mpc(sum(re), sum(im)) - mp.fsum(v))
+            gap = abs(scale * mpc(re, im) - mp.fsum(v))
             assert gap < mp.ldexp(mp.fsum(abs(x) for x in v), 16 - ctx.prec_bits), t0
 
 
