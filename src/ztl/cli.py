@@ -230,6 +230,7 @@ def _sweep_grid(cfg: RunConfig) -> list[tuple]:
             for m in m_list:
                 _check_identity_params(identity, k, m)
                 for theta in cfg.theta_list if row.has_theta else [None]:
+                    identities.check_theta(theta)
                     tasks.append((identity, k, m, theta, cfg.digits))
     return tasks
 

@@ -30,7 +30,7 @@ from .psi import SeriesRequest, dual_product, series_L
 
 __all__ = [
     "IdentityParams", "VerificationReport", "Identity", "IDENTITIES",
-    "IDENTITY_NAMES", "check_params", "alpha_beta",
+    "IDENTITY_NAMES", "check_params", "check_theta", "alpha_beta",
     "pass_tolerance", "derivative_term", "bernoulli_block",
     "verify_main", "verify_ramanujan_classical", "verify_dixit",
     "verify_eisenstein", "verify_quasimodular", "verify_eta",
@@ -121,6 +121,12 @@ def check_params(identity: str, k: int, m: int | None) -> None:
             raise special.DomainError(row.m_message)
         if m == 0:
             raise special.DomainError("m must be nonzero")
+
+
+def check_theta(theta) -> None:
+    """Raise DomainError unless theta (a number, its string or None) is finite."""
+    if theta is not None and not mp.isfinite(mpf(theta)):
+        raise special.DomainError(f"theta must be finite, got {theta}")
 
 
 def alpha_beta(theta, ctx: PrecisionContext):
@@ -296,6 +302,7 @@ def _cell(identity: str, k: int, m: int | None, theta, ctx: PrecisionContext,
     under the context's precision (alpha = beta = pi when theta is None) and
     report; ``checked`` is False for a cell that compares nothing."""
     check_params(identity, k, m)
+    check_theta(theta)
     t0 = time.perf_counter()
     with ctx.scoped():
         alpha, beta = alpha_beta(0 if theta is None else theta, ctx)

@@ -31,7 +31,7 @@ One driver, ``_refine``, runs the levels of both quadratures: it records
 every level's step, applies the stopping rule, registers the steps with the
 ``--trace`` sink and raises ``QuadratureError`` carrying them.
 ``line_integral`` and ``cauchy_derivative`` only compute a level's value; a
-line's level is an exact sum of Horner chunk sums of fixed-point ints.
+line's level is an exact sum of Horner chunk sums of fixed-point ints by index.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from math import isqrt
+from operator import itemgetter
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import to_fixed
@@ -158,12 +160,12 @@ class VerticalProduct:
     node at 16 extra bits. Lines that carry zeta factors are Gamma-free
     (``psi.dual_product``); Gamma^g serves the Meijer-G kernel
     ``psi_kernel``, its nodes from the scalar memo. Of base^{-s}, base^{-c}
-    rides on the chunk's scale, and the rotation e^{-it ln base} is handed
-    back as a seed per chunk and a step, so ``_chunk_sum`` sums a chunk by
-    Horner's rule: a known node costs one int complex multiply.
+    rides on the chunk's scale, and of the rotation e^{-it ln base} the step z
+    and z^_RUN_CHUNK are handed back, for ``_chunk_sum`` to sum a chunk by
+    Horner's rule in z: a known node costs one int complex multiply.
 
-    A base that is not a positive real raises DomainError: with it, the
-    product is real on the real axis, the premise of ``line_integral``.
+    A base that is not a finite positive real raises DomainError: with it,
+    the product is real on the real axis, the premise of ``line_integral``.
     """
 
     def __init__(self, ctx, zeta_factors=(), gamma_power=0, cos_power=0,
@@ -174,32 +176,35 @@ class VerticalProduct:
         self.cos_power = cos_power
         with ctx.scoped():
             base = mp.mpmathify(neg_s_base)
-            if not (isinstance(base, mpf) and base > 0):
+            if not (isinstance(base, mpf) and base > 0 and mp.isfinite(base)):
                 raise special.DomainError(f"the base must be a positive real, got {base}")
             self.ln_base = mp.log(base)
-        self._fixed: dict = {}   # dt -> rotation step; (c, shift) -> scale
+        # (c, dn, grid) -> (line, rot, {shift: scale}); no bound method, whose cycle pins lines
+        self._lines: dict = {}
 
-    def eval_vertical(self, c, t0, dt, count, grid):
-        """(P, rot, scale): the value at c + i(t0 + u dt), u < count, is
-        scale * P[u] * base^{-i(t0 + u dt)}, P[u] the line's (re, im) ints,
-        rot as ``_chunk_sum`` takes it. t0 and dt are multiples of ``grid``,
-        whose int multiples index the line's products."""
-        ctx = self.ctx
-        with ctx.scoped():
-            c, t0, dt, grid = mpf(c), mpf(t0), mpf(dt), mpf(grid)
-            line = self._line((self.zeta_factors, self.gamma_power, self.cos_power,
-                               c._mpf_, ctx.prec_bits, grid._mpf_))
-            vals = line.read(partial(self._product_run, c), t0, dt, count, grid)
-            W, memo = line.W, self._fixed
-            if dt._mpf_ not in memo:
-                sr, si = self._rotation(dt, W)
-                memo[dt._mpf_] = sr, sr + si, si - sr
-            if (c._mpf_, line.shift) not in memo:
-                memo[c._mpf_, line.shift] = mp.exp(-c * self.ln_base) * line.unit()
-            return vals, (W, self._rotation(t0, W), memo[dt._mpf_]), memo[c._mpf_, line.shift]
-
-    def _line(self, key):
-        return special._PRODUCT_MEMO.setdefault(key, special.FixedLine(self.ctx.prec_bits))
+    def eval_vertical(self, c, n0, dn, count, grid):
+        """(P, rot, scale): the value at c + it, t = (n0 + u dn) grid, u < count,
+        is scale * P[u] * base^{-it}, P[u] the line's (re, im) ints; c and grid
+        are mpf, n0 and dn ints. rot = (W, z, z^_RUN_CHUNK), z = base^{-i dn grid}
+        as (re, im) ints with W fractional bits, looked up once per (c, dn, grid)
+        with the line and scale: known nodes make no mpmath call."""
+        key = c._mpf_, dn, grid._mpf_
+        state = self._lines.get(key)
+        if state is None:
+            line = special._PRODUCT_MEMO.setdefault(
+                (self.zeta_factors, self.gamma_power, self.cos_power, c._mpf_,
+                 self.ctx.prec_bits, grid._mpf_), special.FixedLine(self.ctx.prec_bits))
+            with self.ctx.scoped():
+                steps = [self._rotation(n * dn * grid, line.W) for n in (1, special._RUN_CHUNK)]
+            state = self._lines[key] = line, (line.W, *steps), {}
+        line, rot, scales = state
+        out = list(map(line.nodes.get, range(n0, n0 + count * dn, dn)))
+        if None in out or line.shift not in scales:
+            with self.ctx.scoped():
+                line.fill(out, partial(self._product_run, c), n0, dn, grid)
+                if line.shift not in scales:   # set by the line's first nonzero node
+                    scales[line.shift] = mp.exp(-c * self.ln_base) * line.unit()
+        return out, rot, scales[line.shift]
 
     def _rotation(self, t, W):
         """e^{-i t ln base} as fixed-point ints with W fractional bits."""
@@ -244,16 +249,30 @@ class VerticalProduct:
 
 def _chunk_sum(P, n, rot):
     """sum_{u<n} P[u] seed z^u as (re, im) ints in P's units, by Horner's rule
-    in z: rot = (W, seed, z), e^{-i t0 ln base} and e^{-i dt ln base} as ints
-    with W fractional bits, z as (zr, zr + zi, zi - zr). Every step is a
-    three-multiply complex product, exact but for its >> W."""
-    W, (zr, zi), (sr, ssum, sdif) = rot
+    in z: rot = (W, seed, z), (re, im) ints with W fractional bits. Every
+    step is a three-multiply complex product, exact but for its >> W."""
+    W, (sr, si), (zr, zi) = rot
+    zsum, zdif = zr + zi, zi - zr
     qr, qi = P[n - 1]
     for pr, pi in reversed(P[:n - 1]):
-        k = sr * (qr + qi)
-        qr, qi = ((k - qi * ssum) >> W) + pr, ((k + qr * sdif) >> W) + pi
-    k = zr * (qr + qi)
-    return (k - qi * (zr + zi)) >> W, (k + qr * (zi - zr)) >> W
+        k = zr * (qr + qi)
+        qr, qi = ((k - qi * zsum) >> W) + pr, ((k + qr * zdif) >> W) + pi
+    k = sr * (qr + qi)
+    return (k - qi * (sr + si)) >> W, (k + qr * (si - sr)) >> W
+
+
+def _tail_scan(P, lo, thr, consec):
+    """(stop, consec): the node of P[lo:] where pr^2 + pi^2 < thr holds for the
+    fifth time in a row, counting ``consec`` carried in, or None, and the
+    count carried out. No node passes if no |pr| <= isqrt(thr - 1)."""
+    if consec == 0 and not any(map(isqrt(thr - 1).__ge__, map(abs, map(itemgetter(0), P[lo:])))):
+        return None, 0
+    for u in range(lo, len(P)):
+        pr, pi = P[u]
+        consec = consec + 1 if pr * pr + pi * pi < thr else 0
+        if consec == 5:
+            return u, consec
+    return None, consec
 
 
 def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: PrecisionContext,
@@ -263,14 +282,16 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
     Every factor of ``f`` is real on the real axis and its base is positive,
     so f(c - it) is the conjugate of f(c + it): the lower half-line folds
     exactly onto the upper one, and the result is h/(2 pi) times
-    f(c) + 2 Re sum_{j >= 1} f(c + ijh). Level i has step h0/2^i; every node
-    is an int multiple of grid = h0/2^_LINE_REFINE_LIMIT. A level sums
+    f(c) + 2 Re sum_{j >= 1} f(c + ijh). Level i reads the nodes j dn, step
+    h0/2^i = dn grid, grid = h0/2^_LINE_REFINE_LIMIT. A level sums
     fixed-point ints exactly (``special.FixedLine`` bounds their rounding by
     2^-(prec+24) of the line's first nonzero node, below the 2^-prec
     sum |v_j| of mpc arithmetic also on a line that cancels) and scales the
-    sum once. The tail test of the module docstring ends each level, on the
-    base-free ints as pr^2 + pi^2 < (eps/scale)^2 (|base^{-it}| = 1), so no
-    node past the stop is rotated; its step records that last height t.
+    sum once; the chunk from node j sums by Horner's rule in z = base^{-ih}
+    from the seed z^j, the previous chunk's seed times z^_RUN_CHUNK. The
+    tail test of the module docstring ends each level, on the base-free ints
+    as pr^2 + pi^2 < (eps/scale)^2 (|base^{-it}| = 1), so no node past the
+    stop is rotated; its step records that last height t.
     Raises DomainError, before any node is read, for a product that does not
     decay like e^(-pi t/2) (gamma_power - cos_power < 1), and
     QuadratureError when _LINE_REFINE_LIMIT halvings are exhausted.
@@ -286,29 +307,26 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
 
         def level(i, prev):
             h = settings.h0 / 2 ** i
+            dn = 1 << (_LINE_REFINE_LIMIT - i)
             w = h / (2 * mp.pi)
             jtail = int(5 / h) + 1
-            P, _, scale = f.eval_vertical(c, mpf(0), h, 1, grid=grid)
-            total, consec, j, thr = P[0][0], 0, 1, None
+            P, (W, z, zchunk), scale = f.eval_vertical(c, 0, dn, 1, grid)
+            total, consec, j, thr, seed = P[0][0], 0, 1, None, z
             while True:
-                P, rot, sc = f.eval_vertical(c, j * h, h, chunk, grid=grid)
-                if thr is None or sc != scale or prev is None:
+                P, _, sc = f.eval_vertical(c, j * dn, dn, chunk, grid)
+                if thr is None or sc is not scale or prev is None:
                     # a line's scale changes only while all its ints are 0;
                     # level 0 has no previous value and reads its running sum
                     scale = sc
                     ref = abs(w * scale * total) if prev is None else abs(prev)
                     thr = int(mp.ceil((rel * max(_ABS_FLOOR, ref) / 10 / scale) ** 2))
-                for u in range(max(0, jtail - j), chunk):
-                    pr, pi = P[u]
-                    x = pr * pr
-                    if x < thr and x + pi * pi < thr:
-                        consec += 1
-                        if consec == 5:
-                            total += 2 * _chunk_sum(P, u + 1, rot)[0]
-                            return w * (scale * total), {"h": float(h), "t": float((j + u) * h)}
-                    else:
-                        consec = 0
-                total += 2 * _chunk_sum(P, chunk, rot)[0]
+                stop, consec = _tail_scan(P, max(0, jtail - j), thr, consec)
+                total += 2 * _chunk_sum(P, chunk if stop is None else stop + 1, (W, seed, z))[0]
+                if stop is not None:
+                    return w * (scale * total), {"h": float(h), "t": float((j + stop) * h)}
+                (sr, si), (zr, zi) = seed, zchunk      # seed *= z^chunk
+                k = zr * (sr + si)
+                seed = (k - si * (zr + zi)) >> W, (k + sr * (zi - zr)) >> W
                 j += chunk
 
         return _refine("line", {"c": float(c)}, _LINE_REFINE_LIMIT, rel, level, trace)

@@ -300,9 +300,10 @@ def check_tail_below_tolerance(ctx):
             tr = []
             value = mellin.line_integral(f, st, ctx, trace=tr)
             h, t = mpf(tr[-1]["h"]), mpf(tr[-1]["t"])
-            P, rot, scale = f.eval_vertical(st.c, t + h, h, int(t / h) // 2,
-                                            st.h0 / 2 ** mellin._LINE_REFINE_LIMIT)
-            re, _ = mellin._chunk_sum(P, len(P), rot)
+            grid = st.h0 / 2 ** mellin._LINE_REFINE_LIMIT
+            n, dn = int(t / h), int(h / grid)
+            P, (W, z, _), scale = f.eval_vertical(st.c, (n + 1) * dn, dn, n // 2, grid)
+            re, _ = mellin._chunk_sum(P, len(P), (W, f._rotation((n + 1) * h, W), z))
             worst = max(worst, abs(h / mp.pi * scale * re) / max(abs(value), mpf("1e-5")))
     return (worst <= mpf(10) ** -ctx.digits,
             f"3 lines, worst tail {mp.nstr(worst, 3)} of max(|value|, 1e-5)")

@@ -236,7 +236,7 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
     run with any miss, at any abscissa, is computed whole, in pieces of
     _RUN_CHUNK nodes, and every abscissa's values are memoized under its own
     key, so a call returns the same values whichever nodes the memo already
-    held. ``FixedLine.read`` hands in only the missing nodes of a line, as
+    held. ``FixedLine.fill`` hands in only the missing nodes of a line, as
     maximal equispaced runs."""
     with ctx.scoped():
         prec = ctx.prec_bits
@@ -449,12 +449,11 @@ class FixedLine:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def read(self, run, t0, dt, count: int, grid) -> list:
-        """[(re, im) at t0 + u dt for u < count]; t0, dt multiples of grid."""
-        n0, dn = int(mp.nint(t0 / grid)), int(mp.nint(dt / grid))
+    def fill(self, out: list, run, n0: int, dn: int, grid) -> None:
+        """Fill in each None of ``out``, nodes n0 + u dn read from ``nodes``,
+        by ``run(t0, dt, count)`` (t0, dt multiples of grid) and memoize it."""
         nodes = self.nodes
-        out = list(map(nodes.get, range(n0, n0 + count * dn, dn)))
-        miss = [u for u, v in enumerate(out) if v is None] if None in out else []
+        miss = [u for u, v in enumerate(out) if v is None]
         i = 0
         while i < len(miss):
             stride = miss[i + 1] - miss[i] if i + 1 < len(miss) else 1
@@ -465,7 +464,6 @@ class FixedLine:
             for u, v in zip(miss[i:j], vs):
                 nodes[n0 + u * dn] = out[u] = self._fixed(mpc(v))
             i = j
-        return out
 
     def _fixed(self, v: mpc) -> tuple[int, int]:
         if self.shift is None:

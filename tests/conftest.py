@@ -1,15 +1,16 @@
 import pytest
-from mpmath import mpc
+from mpmath import mp, mpc
 
 from ztl import with_precision
 
 
-def fixed_to_mpc(chunk):
-    """The node values scale * P[u] * seed * z^u of an ``eval_vertical``
-    chunk (P, (W, seed, z), scale) as mpc."""
-    P, (W, seed, (zr, zsum, _)), scale = chunk
-    seed, z = mpc(*seed) / 2 ** W, mpc(zr, zsum - zr) / 2 ** W
-    return [scale * mpc(*p) * seed * z ** u for u, p in enumerate(P)]
+def fixed_to_mpc(f, c, n0, dn, count, grid):
+    """The node values scale * P[u] * base^(-i t_u), t_u = (n0 + u dn) grid,
+    of the ``eval_vertical`` chunk (P, rot, scale) of ``f`` as mpc, the
+    rotation from mpmath."""
+    P, _, scale = f.eval_vertical(c, n0, dn, count, grid)
+    return [scale * mpc(*p) * mp.expj(-(n0 + u * dn) * grid * f.ln_base)
+            for u, p in enumerate(P)]
 
 
 @pytest.fixture(scope="session")

@@ -216,6 +216,20 @@ def test_vacuous_even_m_cell_is_no_check(capsys):
         assert capsys.readouterr().out.startswith(f"PASS {odd[0]} ")
 
 
+@pytest.mark.parametrize("argv,shown", [
+    (["verify", "main", "--k", "2", "--m", "1", "--theta", "inf"], "inf"),
+    (["verify", "main", "--k", "2", "--m", "1", "--theta=-inf"], "-inf"),
+    (["verify", "main", "--k", "2", "--m", "1", "--theta", "nan"], "nan"),
+    (["verify", "main", "--k", "2", "--m", "1", "--alpha", "inf"], "+inf"),
+    (["sweep", "--identity", "main", "--k", "2", "--m", "1", "--theta", "0.3,inf"], "inf"),
+])
+def test_non_finite_theta_is_a_usage_error(capsys, argv, shown):
+    # rejected with the grid, before any cell runs: no row is printed
+    assert run([*argv, "--digits", "15"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: theta must be finite, got {shown}\n"
+
+
 def test_sweep_empty_grid_exit_two(capsys):
     assert run(["sweep", "--identity", "main", "--m", "", "--digits", "30"]) == 2
     capsys.readouterr()

@@ -181,6 +181,13 @@ def test_k_or_m_zero_rejected_before_any_side(ctx30, no_sides, verifier, args):
         getattr(idn, verifier)(*args, ctx30)
 
 
+@pytest.mark.parametrize("identity", ["main", "dixit", "eta"])
+@pytest.mark.parametrize("theta", ["inf", "nan"])
+def test_non_finite_theta_rejected_before_any_side(ctx30, no_sides, identity, theta):
+    with pytest.raises(special.DomainError, match="theta must be finite"):
+        idn.verify(identity, k=2, m=1, theta=theta, ctx=ctx30)
+
+
 def test_eta_k1_closed_form_rhs(ctx50):
     with ctx50.scoped():
         th = mpf(2) / 5

@@ -1,10 +1,15 @@
 """Quadrature engine: line integrals, circle derivatives, kernel reductions."""
 
+import gc
+import weakref
+from math import isqrt
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from conftest import fixed_to_mpc
-from ztl import hp, mellin, special
+from ztl import hp, identities, mellin, special
 
 
 def test_settings_require_c_above_one(ctx50):
@@ -124,6 +129,83 @@ def test_line_stops_when_a_chunk_ends_the_tail(ctx30, monkeypatch):
         assert abs(mpf(tr[0]["value"]) - mpf(183) / (16 * mp.pi)) < ctx30.tolerance()
 
 
+def _plain_scan(P, lo, thr, consec):
+    # the tail test node by node, with no prefilter
+    for u in range(lo, len(P)):
+        pr, pi = P[u]
+        if pr * pr + pi * pi < thr:
+            consec += 1
+            if consec == 5:
+                return u, consec
+        else:
+            consec = 0
+    return None, consec
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_tail_scan_prefilter_is_exact(data):
+    # _tail_scan passes over a chunk without its per-node loop when no
+    # |pr| <= isqrt(thr - 1); its stop and carried count must be those of the
+    # plain loop, over chains of chunks that carry consec from one to the next
+    thr = data.draw(st.one_of(st.just(1), st.integers(1, 10 ** 40)), label="thr")
+    r = isqrt(thr - 1)
+    coord = st.one_of(st.sampled_from([0, r - 1, r, r + 1, -r - 1, -r, 1 - r]),
+                      st.integers(-2 * r - 2, 2 * r + 2))
+    consec = data.draw(st.integers(0, 4), label="consec")
+    for _ in range(data.draw(st.integers(1, 3), label="chunks")):
+        P = data.draw(st.lists(st.tuples(coord, coord), max_size=96), label="P")
+        lo = data.draw(st.integers(0, 100), label="lo")
+        got = mellin._tail_scan(P, lo, thr, consec)
+        assert got == _plain_scan(P, lo, thr, consec)
+        if got[0] is not None:
+            break
+        consec = got[1]
+
+
+def test_warm_cell_rotations_do_not_grow_with_chunks(monkeypatch):
+    # after the theta-scan workload's warm-up cells, a (2, 1) 50-digit main
+    # cell computes base^{-ih} and base^{-96ih} once per line and level
+    # (2 lines, 2 levels each): the chunk seeds come by recurrence, so the
+    # count does not grow with the chunks read
+    ctx = hp.with_precision(50)
+    special.clear_caches()
+    try:
+        for theta in ("1.0", "0.05"):
+            identities.verify("main", k=2, m=1, theta=theta, ctx=ctx)
+        calls = {"_rotation": 0, "eval_vertical": 0}
+        for name in calls:
+            def counted(*a, _fn=getattr(mellin.VerticalProduct, name), _name=name):
+                calls[_name] += 1
+                return _fn(*a)
+            monkeypatch.setattr(mellin.VerticalProduct, name, counted)
+        nodes = len(special._ZLINE_MEMO)
+        identities.verify("main", k=2, m=1, theta="-0.7", ctx=ctx)
+        assert len(special._ZLINE_MEMO) == nodes      # the cell was warm
+    finally:
+        special.clear_caches()
+    assert calls["_rotation"] <= 8 < 4 * calls["_rotation"] < calls["eval_vertical"]
+
+
+def test_cold_line_is_freed_without_the_cyclic_gc(ctx30):
+    # a product's per-line memo holds no bound method of the product, so
+    # clear_caches() and dropping the product free its line by reference
+    # counting alone
+    special.clear_caches()
+    gc.disable()
+    try:
+        f = mellin.VerticalProduct(ctx30, gamma_power=1, neg_s_base=3)
+        mellin.line_integral(f, mellin.line_settings(2), ctx30)
+        (line,) = special._PRODUCT_MEMO.values()
+        ref = weakref.ref(line)
+        del line
+        special.clear_caches()
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("powers", [{}, {"cos_power": 1}])
 def test_line_rejects_a_product_that_does_not_decay(ctx30, monkeypatch, powers):
     # with gamma_power - cos_power < 1 the product does not fall like
@@ -137,10 +219,11 @@ def test_line_rejects_a_product_that_does_not_decay(ctx30, monkeypatch, powers):
         mellin.line_integral(f, mellin.line_settings(2), ctx30)
 
 
-@pytest.mark.parametrize("base", [0, -3, mpc(2, 1)])
+@pytest.mark.parametrize("base", [0, -3, mpc(2, 1), mp.inf, mp.nan])
 def test_vertical_product_rejects_a_base_that_is_not_positive(ctx30, base):
     # ln base must be real, or the integrand is not conjugate-symmetric and
-    # line_integral's fold onto the upper half-line is wrong
+    # line_integral's fold onto the upper half-line is wrong; base = inf
+    # would make the chunk scale 0
     with pytest.raises(special.DomainError):
         mellin.VerticalProduct(ctx30, gamma_power=1, neg_s_base=base)
 
@@ -149,11 +232,11 @@ def test_vertical_product_rejects_a_base_that_is_not_positive(ctx30, base):
 def test_vertical_product_cos_powers(ctx50, p):
     # the stepped cos(pi s/2)^p against mpmath's, every sign of the power
     with ctx50.scoped():
-        c, t0, dt = mpf(7) / 2, mpf(-3), mpf(3) / 4
+        c, dt = mpf(7) / 2, mpf(3) / 4
         f = mellin.VerticalProduct(ctx50, cos_power=p)
-        vals = fixed_to_mpc(f.eval_vertical(c, t0, dt, 12, dt))
+        vals = fixed_to_mpc(f, c, -4, 1, 12, dt)
         for u, v in enumerate(vals):
-            ref = mp.cospi(mpc(c, t0 + u * dt) / 2) ** p
+            ref = mp.cospi(mpc(c, (u - 4) * dt) / 2) ** p
             assert abs(v - ref) <= ctx50.tolerance() * abs(ref)
 
 
@@ -162,11 +245,12 @@ def test_vertical_product_cos_powers(ctx50, p):
 def test_fixed_line_chunk_keeps_its_guard_bits(digits, n):
     # the first n nodes of one 96-node chunk at each t0 of the k = 2, m = 1
     # fold product at rho = (2 pi e^0.3)^2 (n < 96: the partial chunk where a
-    # level stops): the Horner sum scale * _chunk_sum against
+    # level stops): the Horner sum scale * _chunk_sum from the seed z^j,
+    # j = t0/h, built by line_integral's recurrence, against
     # sum P_j rho^-s_j from the same P_j, summed at twice the precision. The
-    # gap measures below 34 * 2^-prec sum |v_j| at n = 1 and 18 at n = 37
-    # and 96; the bound is 2^16 * 2^-prec sum |v_j|, which W = prec - 70
-    # overshoots by more than 10^16
+    # gap measures below 12 * 2^-prec sum |v_j| in every case; the bound is
+    # 2^16 * 2^-prec sum |v_j|, which W = prec - 70 overshoots by more than
+    # 10^16
     ctx, wide = hp.with_precision(digits), hp.with_precision(2 * digits)
     special.clear_caches()
     with ctx.scoped():
@@ -174,9 +258,15 @@ def test_fixed_line_chunk_keeps_its_guard_bits(digits, n):
         c, h, grid = mpf(5) / 2, mpf(1) / 16, mpf(1) / 8192
     f = mellin.VerticalProduct(ctx, zeta_factors=[(0, 1, 2), (3, 1, 2)], gamma_power=2,
                                cos_power=1, neg_s_base=rho)
+    dn = 512    # h / grid
+    _, (W, z, zchunk), _ = f.eval_vertical(c, 0, dn, 1, grid)
+    seed_at = {0: (1 << W, 0)}      # j -> z^j, each seed the previous one times z^96
+    for j in range(96, 6 * 96, 96):
+        seed_at[j] = mellin._chunk_sum([zchunk], 1, (W, seed_at[j - 96], z))
     for t0 in (0, 6, 30):
-        P, rot, scale = f.eval_vertical(c, t0, h, 96, grid)
-        re, im = mellin._chunk_sum(P, n, rot)
+        j0 = int(t0 / h)
+        P, _, scale = f.eval_vertical(c, j0 * dn, dn, 96, grid)
+        re, im = mellin._chunk_sum(P, n, (W, seed_at[j0], z))
         with ctx.scoped():
             P = f._product_run(c, mpf(t0), h, n)
         with wide.scoped():

@@ -184,7 +184,7 @@ def test_fold_on_a_warm_line_equals_cold(ctx50, k, m):
 def _gamma_cos_nodes(g, ctx):
     with ctx.scoped():
         f = VerticalProduct(ctx, gamma_power=g, cos_power=1)
-        return fixed_to_mpc(f.eval_vertical(mpf(5) / 2, mpf(0), mpf(1) / 8, 16, mpf(1) / 8))
+        return fixed_to_mpc(f, mpf(5) / 2, 0, 1, 16, mpf(1) / 8)
 
 
 def _line_at(h0):
