@@ -20,7 +20,7 @@ from mpmath import mp, mpf
 
 from .hp import PrecisionError, with_precision
 from . import identities, mellin, selftest, special
-from .psi import PSI_STRATEGIES, PsiRequest, fold_line, psi
+from .psi import PSI_STRATEGIES, fold_line, psi
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -137,8 +137,12 @@ def cmd_verify(args) -> int:
     digits = _digits(args.digits)
     m = args.m if args.m is not None else row.default_m()
     if args.alpha is not None:
-        theta = identities.IdentityParams.from_alpha(
-            args.k, m, args.alpha, with_precision(digits)).theta
+        ctx = with_precision(digits)
+        with ctx.scoped():
+            alpha = mpf(args.alpha)
+            if not alpha > 0:
+                raise special.DomainError("alpha must be positive")
+            theta = mp.log(alpha / mp.pi)
     else:
         theta = args.theta if args.theta is not None else row.default_theta
     return _run(RunConfig(
@@ -370,7 +374,7 @@ def cmd_psi(args) -> int:
             with ctx.scoped():
                 x = mpf(xs_raw)
                 rho = mpf(args.rho)
-            val = psi(PsiRequest(rho=rho, k=args.k, x=x, strategy=args.strategy), ctx)
+            val = psi(args.k, rho, x, ctx, strategy=args.strategy)
             with ctx.scoped():
                 print(f"psi(rho={mp.nstr(rho, 12)}, k={args.k}, x={mp.nstr(x, 12)}) = "
                       f"{mp.nstr(val.value, digits)}  "

@@ -26,10 +26,10 @@ from mpmath import mp, mpf
 
 from .hp import PrecisionContext
 from . import special, mellin
-from .psi import SeriesRequest, dual_product, series_L
+from .psi import dual_product, series_L
 
 __all__ = [
-    "IdentityParams", "VerificationReport", "Identity", "IDENTITIES",
+    "VerificationReport", "Identity", "IDENTITIES",
     "IDENTITY_NAMES", "check_params", "check_theta", "alpha_beta",
     "pass_tolerance", "derivative_term", "bernoulli_block",
     "verify_main", "verify_ramanujan_classical", "verify_dixit",
@@ -39,26 +39,6 @@ __all__ = [
 ]
 
 CSV_HEADER = "identity,k,m,theta,lhs,rhs,abs_res,rel_res,digits,seconds"
-
-
-@dataclass(frozen=True)
-class IdentityParams:
-    k: int
-    m: int
-    theta: mpf
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise special.DomainError("k must be a positive integer")
-
-    @classmethod
-    def from_alpha(cls, k, m, alpha, ctx):
-        """theta = log(alpha/pi) at the context's working precision."""
-        with ctx.scoped():
-            alpha = mpf(alpha)
-            if not alpha > 0:
-                raise special.DomainError("alpha must be positive")
-            return cls(k=k, m=m, theta=mp.log(alpha / mp.pi))
 
 
 @dataclass(frozen=True)
@@ -86,8 +66,7 @@ class Identity:
 # Each lambda looks its verifier up when called, so a rebound module name
 # (a tracer's wrapper, a test double) is the one that runs.
 IDENTITIES = {
-    "main": Identity(lambda k, m, theta, ctx: verify_main(
-        IdentityParams(k=k, m=m, theta=ctx.mpf(theta)), ctx), line_m=lambda m: m),
+    "main": Identity(lambda k, m, theta, ctx: verify_main(k, m, theta, ctx), line_m=lambda m: m),
     "ramanujan": Identity(lambda k, m, theta, ctx: verify_ramanujan_classical(m, theta, ctx),
                           fixed_k=1),
     "dixit": Identity(lambda k, m, theta, ctx: verify_dixit(m, theta, ctx), fixed_k=2),
@@ -323,8 +302,7 @@ def _fold_bracket(k: int, m: int, r, ctx: PrecisionContext):
     """(L, D) at rho = (2r)^k on the fold line of m: the weighted series
     ``series_L`` and its derivative term."""
     rho = (2 * r) ** k
-    return (series_L(SeriesRequest(rho=rho, k=k, m=m), ctx).value,
-            derivative_term(k, m, rho, ctx))
+    return series_L(k, m, rho, ctx), derivative_term(k, m, rho, ctx)
 
 
 def _balanced(k: int, m: int, alpha, beta, bracket: Callable, b: int, ctx: PrecisionContext):
@@ -355,19 +333,17 @@ def _checks_something(m: int, theta) -> bool:
     return m % 2 == 1 or mpf(theta) != 0
 
 
-def verify_main(params: IdentityParams, ctx: PrecisionContext) -> VerificationReport:
+def verify_main(k: int, m: int, theta, ctx: PrecisionContext) -> VerificationReport:
     """Transformation formula for the k-th power of odd zeta values, in the
     balanced form with X = L - D; no check at theta = 0 with m even
     (``_checks_something``)."""
-    k, m = params.k, params.m
-
     def bracket(r):
         L, D = _fold_bracket(k, m, r, ctx)
         return L - D
 
-    return _cell("main", k, m, params.theta, ctx,
+    return _cell("main", k, m, theta, ctx,
                  lambda alpha, beta: _balanced(k, m, alpha, beta, bracket, 1, ctx),
-                 _checks_something(m, params.theta))
+                 _checks_something(m, theta))
 
 
 def verify_ramanujan_classical(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
@@ -396,8 +372,7 @@ def verify_dixit(m: int, theta, ctx: PrecisionContext) -> VerificationReport:
 
         def bracket(r):
             # sum_n d(n) n^-(2m+1) Omega_r(n) with Omega_r = 2 Psi_{(2r)^2, 2}
-            om = 2 * series_L(SeriesRequest(rho=(2 * r) ** 2, k=2, m=m), ctx,
-                              strategy="terms").value
+            om = 2 * series_L(2, m, (2 * r) ** 2, ctx, strategy="terms")
             return z ** 2 * (mp.euler + mp.log(r / mp.pi) - zp_over_z) + om
 
         return _balanced(2, m, alpha, beta, bracket, 2, ctx)
@@ -457,8 +432,7 @@ def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
     theta = 0, alpha = beta makes the lhs one expression minus itself and
     the rhs exactly 0: the report is marked as no check."""
     def sides(alpha, beta):
-        lhs = (series_L(SeriesRequest(rho=(2 * alpha) ** k, k=k, m=0), ctx).value
-               - series_L(SeriesRequest(rho=(2 * beta) ** k, k=k, m=0), ctx).value)
+        lhs = series_L(k, 0, (2 * alpha) ** k, ctx) - series_L(k, 0, (2 * beta) ** k, ctx)
         sign = -1 if k % 2 else 1
         rhs = (sign * mpf(2) ** k * eta_derivative_term(k, theta, ctx)
                - sign * 2 * mp.pi ** (k - 1) * (beta ** k - alpha ** k) / mpf(24) ** k)
@@ -508,7 +482,7 @@ def self_duality_check(k: int, m: int, rho, ctx: PrecisionContext):
         rho_dual = (4 * mp.pi ** 2) ** k / rho
         sgn = -1 if m % 2 else 1
         rhs = (sgn * mpf(2) ** k * (rho / (2 * mp.pi) ** k) ** (2 * m)
-               * series_L(SeriesRequest(rho=rho_dual, k=k, m=m), ctx).value)
+               * series_L(k, m, rho_dual, ctx))
         return lhs, rhs
 
 
@@ -532,7 +506,7 @@ def residue_assembly_check(k: int, m: int, rho, ctx: PrecisionContext):
     lambda-line integral. Returns (lhs, rhs)."""
     with ctx.scoped():
         rho = mpf(rho)
-        lhs = mpf(2) ** k * series_L(SeriesRequest(rho=rho, k=k, m=m), ctx).value
+        lhs = mpf(2) ** k * series_L(k, m, rho, ctx)
         rho_dual = (4 * mp.pi ** 2) ** k / rho
         r0 = mpf(2) ** k * derivative_term(k, m, rho, ctx)
         sgn = 1 if (m + 1) % 2 == 0 else -1

@@ -1,5 +1,7 @@
 """The generalized Koshliakov function Psi_{rho,k}(x) and the weighted
-divisor series over it.
+divisor series over it: ``psi(k, rho, x, ctx, strategy="auto")`` returns a
+``PsiValue`` (value, error estimate, the strategy that ran), and
+``series_L(k, m, rho, ctx, strategy="fold")`` returns the series as an mpf.
 
 Psi strategies:
 
@@ -31,28 +33,9 @@ from .hp import PrecisionContext
 from . import special, mellin
 from .mellin import VerticalProduct
 
-__all__ = ["PsiRequest", "PsiValue", "SeriesRequest", "SeriesValue",
-           "psi", "series_L", "dual_product", "fold_line"]
+__all__ = ["PsiValue", "psi", "series_L", "dual_product", "fold_line"]
 
 PSI_STRATEGIES = ("auto", "inverse_mellin", "term_sum", "closed_form")
-
-
-@dataclass(frozen=True)
-class PsiRequest:
-    rho: mpf
-    k: int
-    x: mpf
-    strategy: str = "auto"
-
-    def __post_init__(self):
-        if self.strategy not in PSI_STRATEGIES:
-            raise special.DomainError(f"unknown strategy {self.strategy!r}")
-        if self.k < 1:
-            raise special.DomainError("k must be a positive integer")
-        if not mpf(self.rho) > 0 or not mpf(self.x) > 0:
-            raise special.DomainError("rho and x must be positive")
-        if self.strategy == "closed_form" and self.k > 2:
-            raise special.DomainError("closed_form is only available for k in {1, 2}")
 
 
 @dataclass(frozen=True)
@@ -62,33 +45,13 @@ class PsiValue:
     strategy: str
 
 
-@dataclass(frozen=True)
-class SeriesRequest:
-    """Weighted series sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n); m=0 is the
-    n^{-1} series of the eta-type identity."""
-
-    rho: mpf
-    k: int
-    m: int
-    N_max: int = 100_000
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise special.DomainError("k must be a positive integer")
-        if not mpf(self.rho) > 0:
-            raise special.DomainError("rho must be positive")
-
-
-@dataclass(frozen=True)
-class SeriesValue:
-    value: mpf
-    terms_used: int | None
+_TERMS_CAP = 100_000    # the most N the ``terms`` series sums before it gives up
 
 
 # ---------------------------------------------------------------------------
 # divisor tables and series weights, grown on demand by doubling
 
-_DIV_CACHE: dict[int, special.DivisorTable] = {}
+_DIV_CACHE: dict[int, tuple[int, ...]] = {}
 _WEIGHT_CACHE: dict[tuple[int, int], list[int]] = {}   # (k, m) -> [A(0), A(1), ...]
 
 
@@ -99,9 +62,10 @@ def _table_size(upto: int) -> int:
     return size
 
 
-def divisor_counts(k: int, upto: int) -> special.DivisorTable:
+def divisor_counts(k: int, upto: int) -> tuple[int, ...]:
+    """``special.divisor_sieve(k, N)`` for some N >= upto: d[n] = d_k(n)."""
     tab = _DIV_CACHE.get(k)
-    if tab is None or len(tab) < upto:
+    if tab is None or len(tab) <= upto:
         tab = special.divisor_sieve(k, _table_size(upto))
         _DIV_CACHE[k] = tab
     return tab
@@ -118,10 +82,10 @@ def series_weights(k: int, m: int, upto: int) -> list[int]:
         e = 2 * m + 1
         ep = max(e, 0)
         d = divisor_counts(k, size)
-        dj = [0] + [d.d(j) * j ** ep for j in range(1, size + 1)]
+        dj = [0] + [d[j] * j ** ep for j in range(1, size + 1)]
         A = [0] * (size + 1)
         for n in range(1, size + 1):
-            wn = d.d(n) * n ** (ep - e)
+            wn = d[n] * n ** (ep - e)
             for j in range(1, size // n + 1):
                 A[n * j] += wn * dj[j]
         _WEIGHT_CACHE[k, m] = A
@@ -148,19 +112,28 @@ def _kernel_sum(weight, kernel, z, ctx, run: int, cap: int, what: str):
 # ---------------------------------------------------------------------------
 # Psi
 
-def psi(req: PsiRequest, ctx: PrecisionContext) -> PsiValue:
-    """Evaluate Psi_{rho,k}(x); all strategies agree within 10^(-digits+8)."""
-    strategy = req.strategy
-    if strategy == "auto":
-        strategy = "closed_form" if req.k <= 2 else "inverse_mellin"
+def psi(k: int, rho, x, ctx: PrecisionContext, strategy: str = "auto") -> PsiValue:
+    """Evaluate Psi_{rho,k}(x); all strategies agree within 10^(-digits+8).
+    Raises DomainError, before any work, for an unknown strategy, k < 1,
+    rho or x not positive, and ``closed_form`` with k > 2."""
+    if strategy not in PSI_STRATEGIES:
+        raise special.DomainError(f"unknown strategy {strategy!r}")
+    if k < 1:
+        raise special.DomainError("k must be a positive integer")
     with ctx.scoped():
-        rho = mpf(req.rho)
-        x = mpf(req.x)
+        rho = mpf(rho)
+        x = mpf(x)
+        if not rho > 0 or not x > 0:
+            raise special.DomainError("rho and x must be positive")
+        if strategy == "closed_form" and k > 2:
+            raise special.DomainError("closed_form is only available for k in {1, 2}")
+        if strategy == "auto":
+            strategy = "closed_form" if k <= 2 else "inverse_mellin"
         if strategy == "closed_form":
-            return _psi_closed(req.k, rho, x, ctx)
+            return _psi_closed(k, rho, x, ctx)
         if strategy == "term_sum":
-            return _psi_term_sum(req.k, rho, x, ctx)
-        return _psi_inverse_mellin(req.k, rho, x, ctx)
+            return _psi_term_sum(k, rho, x, ctx)
+        return _psi_inverse_mellin(k, rho, x, ctx)
 
 
 def _psi_closed(k, rho, x, ctx) -> PsiValue:
@@ -168,13 +141,13 @@ def _psi_closed(k, rho, x, ctx) -> PsiValue:
         v = 1 / mp.expm1(rho * x)
         return PsiValue(value=v, error_estimate=abs(v) * mpf(10) ** (-ctx.working_dps),
                         strategy="closed_form")
-    acc, last, _ = _kernel_sum(lambda j: divisor_counts(2, j).d(j), _kernel(2, ctx), rho * x,
+    acc, last, _ = _kernel_sum(lambda j: divisor_counts(2, j)[j], _kernel(2, ctx), rho * x,
                                ctx, 3, 10 ** 6, "Bessel series for Psi (k=2)")
     return PsiValue(value=acc, error_estimate=abs(last), strategy="closed_form")
 
 
 def _psi_term_sum(k, rho, x, ctx) -> PsiValue:
-    acc, last, _ = _kernel_sum(lambda j: divisor_counts(k, j).d(j),
+    acc, last, _ = _kernel_sum(lambda j: divisor_counts(k, j)[j],
                                lambda z: mellin.psi_kernel(k, z, ctx), rho * x,
                                ctx, 3, 10 ** 5, "kernel series for Psi")
     return PsiValue(value=acc, error_estimate=abs(last), strategy="term_sum")
@@ -221,34 +194,44 @@ def fold_line(m: int) -> tuple[float, frozenset[float]]:
     return c, frozenset((c + 2 * m + 1, 1 - c))
 
 
-def series_L(req: SeriesRequest, ctx: PrecisionContext,
-             strategy: str = "fold") -> SeriesValue:
-    """sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n).
+def series_L(k: int, m: int, rho, ctx: PrecisionContext, strategy: str = "fold") -> mpf:
+    """sum_n d_k(n) n^{-(2m+1)} Psi_{rho,k}(n); m = 0 is the n^{-1} series
+    of the eta-type identity. Raises DomainError, before any work, for
+    k < 1 and rho not positive.
 
     ``fold`` turns the divisor sum into zeta^k(2m+1+s) inside one line
     integral (valid for Re(s) above both 1 and -2m) of
     Gamma^k(s) zeta^k(s) zeta^k(2m+1+s) cos^{k-1}(pi s/2) rho^{-s}, taken
     as 2^-k times the integral of its Gamma-free form ``dual_product``.
-    ``terms`` sums the series literally and is kept as an oracle, for k in
-    {1, 2} only (raises DomainError otherwise): Psi's kernel argument rho j n
-    depends on N = j n alone, so the double sum is sum_N a(N) G_k(rho N)
-    with the Dirichlet convolution a = d_k * (d_k n^{-(2m+1)}), one kernel
-    per N, and ``terms_used`` is that N. At k = 1 it is the sigma-form
-    Lambert series sum_N sigma_{-(2m+1)}(N) e^{-rho N}.
+    ``terms`` sums the series literally (``_terms_series``) and is kept as
+    an oracle, for k in {1, 2} only (raises DomainError otherwise).
     """
-    if strategy not in ("fold", "terms"):
-        raise special.DomainError(f"unknown series strategy {strategy!r}")
-    if strategy == "terms" and req.k > 2:
-        raise special.DomainError("the terms strategy is only available for k in {1, 2}")
+    if k < 1:
+        raise special.DomainError("k must be a positive integer")
     with ctx.scoped():
-        rho = mpf(req.rho)
-        k, m = req.k, req.m
-        if strategy == "fold":
-            settings = mellin.line_settings(fold_line(m)[0])
-            v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
-            return SeriesValue(value=mp.ldexp(v, -k), terms_used=None)
+        rho = mpf(rho)
+        if not rho > 0:
+            raise special.DomainError("rho must be positive")
+        if strategy not in ("fold", "terms"):
+            raise special.DomainError(f"unknown series strategy {strategy!r}")
+        if strategy == "terms":
+            if k > 2:
+                raise special.DomainError("the terms strategy is only available for k in {1, 2}")
+            return _terms_series(k, m, rho, ctx, _TERMS_CAP)[0]
+        settings = mellin.line_settings(fold_line(m)[0])
+        v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
+        return mp.ldexp(v, -k)
 
-        ep = max(2 * m + 1, 0)
-        acc, _, N = _kernel_sum(lambda N: series_weights(k, m, N)[N] * mp.power(N, -ep),
-                                _kernel(k, ctx), rho, ctx, 5, req.N_max, "weighted series")
-        return SeriesValue(value=acc, terms_used=N)
+
+def _terms_series(k: int, m: int, rho, ctx: PrecisionContext, cap: int):
+    """(sum, N): the ``terms`` series of ``series_L``, k in {1, 2}, summed
+    to its N-th term, N <= cap. Psi's kernel argument rho j n depends on
+    N = j n alone, so the double sum is sum_N a(N) G_k(rho N) with the
+    Dirichlet convolution a = d_k * (d_k n^{-(2m+1)}), one kernel per N. At
+    k = 1 it is the sigma-form Lambert series
+    sum_N sigma_{-(2m+1)}(N) e^{-rho N}. Raises ArithmeticError when cap
+    terms do not reach the stop; call inside the caller's precision scope."""
+    ep = max(2 * m + 1, 0)
+    acc, _, N = _kernel_sum(lambda N: series_weights(k, m, N)[N] * mp.power(N, -ep),
+                            _kernel(k, ctx), rho, ctx, 5, cap, "weighted series")
+    return acc, N

@@ -36,7 +36,6 @@ residue jets. ``clear_caches`` empties all five.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -48,7 +47,7 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed
 from .hp import PrecisionContext
 
 __all__ = [
-    "PoleError", "DomainError", "DivisorTable",
+    "PoleError", "DomainError",
     "bernoulli", "gamma", "zeta", "bessel_k0",
     "divisor_sieve", "sum_until_negligible", "lambert_series",
     "zeta_vertical_run", "zeta_jet", "log_gamma1_jet", "series_mul",
@@ -563,23 +562,12 @@ def _k0_series(z: mpc, prec: int) -> mpc:
 # ---------------------------------------------------------------------------
 # Piltz divisor sieve, adaptive series truncation and Lambert series
 
-@dataclass(frozen=True)
-class DivisorTable:
-    """d_k(1..N) by repeated Dirichlet convolution with the all-ones function."""
-
-    counts: tuple[int, ...]                      # counts[n-1] = d_k(n)
-
-    def d(self, n: int) -> int:
-        return self.counts[n - 1]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-
-def divisor_sieve(k: int, N: int) -> DivisorTable:
+def divisor_sieve(k: int, N: int) -> tuple[int, ...]:
+    """d with d[n] = d_k(n) for n <= N and d[0] = 0, by repeated Dirichlet
+    convolution with the all-ones function."""
     if k < 1 or N < 1:
         raise DomainError("divisor_sieve requires k >= 1 and N >= 1")
-    counts = [1] * (N + 1)
+    counts = [0] + [1] * N
     for _ in range(k - 1):
         nxt = [0] * (N + 1)
         for d in range(1, N + 1):
@@ -587,7 +575,7 @@ def divisor_sieve(k: int, N: int) -> DivisorTable:
             for n in range(d, N + 1, d):
                 nxt[n] += cd
         counts = nxt
-    return DivisorTable(counts=tuple(counts[1:]))
+    return tuple(counts)
 
 
 def sum_until_negligible(term, ctx: PrecisionContext, run: int, cap: int, what: str):

@@ -13,8 +13,7 @@ import pytest
 from mpmath import mp, mpf
 
 from ztl import mellin, selftest, special, identities as idn
-from ztl.identities import IdentityParams
-from ztl.psi import PsiRequest, SeriesRequest, psi, series_L
+from ztl.psi import psi, series_L
 
 pytestmark = pytest.mark.acceptance
 
@@ -43,7 +42,7 @@ def test_criterion_1_main_identity_grid(ctx50):
         for m in GRID_M:
             for th in GRID_THETA:
                 with ctx50.scoped():
-                    r = idn.verify_main(IdentityParams(k=k, m=m, theta=mpf(th)), ctx50)
+                    r = idn.verify_main(k, m, mpf(th), ctx50)
                 worst = max(worst, r.rel_residual)
                 slowest = max(slowest, r.elapsed)
                 if not (r.rel_residual < mpf(10) ** -30):
@@ -69,7 +68,7 @@ def test_criterion_2_reduction_to_classical(ctx50):
     for m in (-2, -1, 1, 2, 3):
         for th in ("0", "0.5"):
             with ctx50.scoped():
-                a = idn.verify_main(IdentityParams(k=1, m=m, theta=mpf(th)), ctx50)
+                a = idn.verify_main(1, m, mpf(th), ctx50)
                 b = idn.verify_ramanujan_classical(m, mpf(th), ctx50)
                 # a cell at theta = 0 with even m reports NO CHECK, never a pass
                 assert (a.passed, b.passed) == (a.checked, b.checked)
@@ -87,7 +86,7 @@ def test_criterion_3_reduction_to_squared_zeta(ctx50):
         for th in ("0", "0.3"):
             with ctx50.scoped():
                 a = idn.verify_dixit(m, mpf(th), ctx50)
-                b = idn.verify_main(IdentityParams(k=2, m=m, theta=mpf(th)), ctx50)
+                b = idn.verify_main(2, m, mpf(th), ctx50)
                 assert a.passed and b.passed
                 worst = max(worst, abs(a.lhs - 2 * b.lhs))
     ok = worst < mpf(10) ** -25
@@ -111,7 +110,7 @@ def test_criterion_5_quasimodular_constant(ctx50):
     with ctx50.scoped():
         r = idn.verify_quasimodular(1, mpf(0), ctx50)
         assert r.passed
-        s = series_L(SeriesRequest(rho=2 * mp.pi, k=1, m=-1), ctx50).value
+        s = series_L(1, -1, 2 * mp.pi, ctx50)
         res = abs(s - (mpf(1) / 24 - 1 / (8 * mp.pi)))
     ok = res < mpf(10) ** -30
     _line(5, ok, f"|sum - (1/24 - 1/(8 pi))| = {mp.nstr(res, 3)}")
@@ -149,8 +148,8 @@ def test_criterion_7_psi_strategy_equivalence(ctx50):
         for k in (1, 2):
             for rho in grid:
                 for x in grid:
-                    a = psi(PsiRequest(rho=rho, k=k, x=x, strategy="closed_form"), ctx50)
-                    b = psi(PsiRequest(rho=rho, k=k, x=x, strategy="inverse_mellin"), ctx50)
+                    a = psi(k, rho, x, ctx50, strategy="closed_form")
+                    b = psi(k, rho, x, ctx50, strategy="inverse_mellin")
                     worst = max(worst, abs(a.value - b.value))
     ok = worst < mpf(10) ** -42
     _line(7, ok, f"18 grid points, worst |difference| = {mp.nstr(worst, 3)}")
@@ -216,7 +215,7 @@ def test_criterion_1_cold_case_bound(ctx50):
     have warmed the zeta and Gamma memos."""
     special.clear_caches()
     with ctx50.scoped():
-        r = idn.verify_main(IdentityParams(k=3, m=-1, theta=mpf("1.0")), ctx50)
+        r = idn.verify_main(3, -1, mpf("1.0"), ctx50)
     _line("1-cold", r.elapsed < 30, f"(3, -1, 1.0) on a cleared memo took {r.elapsed:.1f}s")
     assert r.rel_residual < mpf(10) ** -30
     assert r.elapsed < 30, f"cold case took {r.elapsed:.1f}s"

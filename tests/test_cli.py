@@ -303,6 +303,16 @@ def test_alpha_flag_equivalent_to_theta(tmp_path, capsys):
     assert abs(float(row["theta"])) < 1e-50, row["theta"]
 
 
+def test_alpha_must_be_positive(capsys, monkeypatch):
+    def work(*a, **kw):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(mellin, "line_integral", work)
+    assert run(["verify", "main", "--alpha", "-1", "--digits", "15"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: alpha must be positive\n"
+
+
 def test_theta_and_alpha_together_exit_two(capsys):
     # both flags set theta, so giving both is a usage error
     assert run(["verify", "ramanujan", "--m", "1", "--theta", "0.7", "--alpha", "3.14159",

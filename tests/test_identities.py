@@ -2,13 +2,11 @@
 and the contour-shift cross checks."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from mpmath import mp, mpf
 
 from ztl import hp, special, identities as idn
-from ztl.identities import IdentityParams
 
 
 def _fd_derivative_oracle(f, order, digits):
@@ -151,12 +149,11 @@ def test_eisenstein_theta_zero_kills_both_sides(ctx50):
 
 @pytest.fixture
 def no_sides(monkeypatch):
-    """Any series request or series sum fails the test: a verifier must
-    reject bad parameters before it computes a side."""
+    """Any series sum fails the test: a verifier must reject bad parameters
+    before it computes a side."""
     def side(*a, **kw):
         raise AssertionError("a side was evaluated")
 
-    monkeypatch.setattr(idn, "SeriesRequest", side)
     monkeypatch.setattr(idn, "series_L", side)
     monkeypatch.setattr(special, "lambert_series", side)
 
@@ -167,8 +164,7 @@ def test_eisenstein_requires_m_above_one(ctx50, no_sides):
 
 
 @pytest.mark.parametrize("verifier,args", [
-    # a namespace, since IdentityParams itself rejects k = 0
-    ("verify_main", (SimpleNamespace(k=0, m=1, theta=mpf("0.3")),)),
+    ("verify_main", (0, 1, mpf("0.3"))),
     ("verify_ramanujan_classical", (0, mpf("0.3"))),
     ("verify_dixit", (0, mpf("0.3"))),
     ("verify_eisenstein", (0, 2, mpf("0.3"))),
@@ -219,14 +215,12 @@ def test_lerch_m_minus_one_matches_quasimodular_at_theta_zero(ctx50):
         assert abs(q.lhs - 2 * mp.pi ** 2 * r.lhs) < mpf(10) ** -30
 
 
-def test_identity_params():
+def test_alpha_beta_product_is_pi_squared():
     ctx = hp.with_precision(30)
     with ctx.scoped():
-        p = IdentityParams(k=2, m=1, theta=ctx.mpf("0.25"))
-        a, b = idn.alpha_beta(p.theta, ctx)
+        a, b = idn.alpha_beta("0.25", ctx)
         assert abs(a * b - mp.pi ** 2) < ctx.tolerance(2)
-        q = IdentityParams.from_alpha(2, 1, a, ctx)
-        assert abs(q.theta - mpf("0.25")) < ctx.tolerance(2)
+        assert abs(mp.log(a / mp.pi) - mpf("0.25")) < ctx.tolerance(2)
 
 
 def test_report_shape(ctx30):

@@ -245,18 +245,20 @@ def _ordered_factorizations(n, k):
 
 
 def test_divisor_d2_of_6():
-    assert special.divisor_sieve(2, 10).d(6) == 4
+    d = special.divisor_sieve(2, 10)
+    assert d[6] == 4 and d[0] == 0 and len(d) == 11
+    assert special.divisor_sieve(1, 5) == (0, 1, 1, 1, 1, 1)
 
 
 def test_divisor_d3_of_4():
-    assert special.divisor_sieve(3, 10).d(4) == 6
+    assert special.divisor_sieve(3, 10)[4] == 6
     assert _ordered_factorizations(4, 3) == 6
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 4), st.integers(1, 60))
 def test_divisor_vs_bruteforce(k, n):
-    assert special.divisor_sieve(k, 64).d(n) == _ordered_factorizations(n, k)
+    assert special.divisor_sieve(k, 64)[n] == _ordered_factorizations(n, k)
 
 
 def test_divisor_convolution_invariant():
@@ -264,7 +266,7 @@ def test_divisor_convolution_invariant():
     t2 = special.divisor_sieve(2, n)
     t3 = special.divisor_sieve(3, n)
     for v in range(1, n + 1):
-        assert t3.d(v) == sum(t2.d(d) for d in range(1, v + 1) if v % d == 0)
+        assert t3[v] == sum(t2[d] for d in range(1, v + 1) if v % d == 0)
 
 
 # ---------------------------------------------------------------------------
