@@ -4,7 +4,7 @@ numerical verification of the transformation identities it satisfies."""
 from .hp import PrecisionContext, PrecisionError, with_precision
 from .special import (DomainError, PoleError, bernoulli, bessel_k0, divisor_sieve, gamma,
                       lambert_series, zeta)
-from .mellin import QuadratureError, QuadratureSettings, cauchy_derivative, line_integral
+from .mellin import QuadratureError, cauchy_derivative, line_integral
 from .psi import PsiValue, psi, series_L
 from .identities import (VerificationReport, bernoulli_block,
                          derivative_term, verify, verify_dixit,

@@ -302,8 +302,16 @@ def _write_rows(path, fmt, reports, timing=False):
     else:
         body = identities.CSV_HEADER + "\n" + "".join(
             r.csv_row(timing=timing) + "\n" for r in reports)
-    with open(path, "w") as fh:
-        fh.write(body)
+    _write_file(path, body)
+
+
+def _write_file(path, body):
+    """Write --out; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(body)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 _SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -386,8 +394,7 @@ def cmd_psi(args) -> int:
             body = json.dumps([{"x": x, "psi": v} for x, v in rows], indent=2) + "\n"
         else:
             body = "x,psi\n" + "".join(f"{x},{v}\n" for x, v in rows)
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        _write_file(args.out, body)
     return EXIT_PASS
 
 

@@ -469,8 +469,8 @@ def lambda_line_value(k: int, m: int, rho, ctx: PrecisionContext):
     zeta^k(2m+1+s) zeta^k(1-s) cos^{-1}(pi s/2) (rho/(2pi)^k)^{-s}."""
     with ctx.scoped():
         lam = mpf(-2 * m) - mpf(5) / 2
-        return mellin.line_integral(dual_product(k, rho, ctx, m),
-                                    mellin.lambda_line_settings(lam), ctx)
+        # the strip of analyticity about this line is ~1/2 wide, so start at h = 1/32
+        return mellin.line_integral(dual_product(k, rho, ctx, m), lam, ctx, h0=mpf(1) / 32)[0]
 
 
 def self_duality_check(k: int, m: int, rho, ctx: PrecisionContext):

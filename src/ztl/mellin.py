@@ -3,8 +3,9 @@
 Cauchy-circle derivative operator (the independent route that the Taylor-jet
 residue terms of ``identities`` are checked against).
 
-``line_integral`` takes a ``VerticalProduct`` and nothing else, and sums
-the upper half-line only: the product is real on the real axis.
+``line_integral(f, c, ctx, h0=1/8)`` integrates a ``VerticalProduct`` f,
+and nothing else, over Re(s) = c, sums the upper half-line only (the
+product is real on the real axis), and returns (value, estimate).
 
 Both quadratures use the plain trapezoid rule, which is spectrally accurate
 for analytic integrands that decay exponentially (line) or are periodic
@@ -28,16 +29,17 @@ is the previous level's value or, on the first level, the level's running
 sum, read again at each chunk of ``special._RUN_CHUNK`` nodes.
 
 One driver, ``_refine``, runs the levels of both quadratures: it records
-every level's step, applies the stopping rule, registers the steps with the
-``--trace`` sink and raises ``QuadratureError`` carrying them.
-``line_integral`` and ``cauchy_derivative`` only compute a level's value; a
-line's level is an exact sum of Horner chunk sums of fixed-point ints by index.
+every level's step, applies the stopping rule, returns the accepted value
+with its estimate, registers the steps with the ``--trace`` sink (where the
+discrepancy and estimate are floats, for reading only) and raises
+``QuadratureError`` carrying them. ``line_integral`` and
+``cauchy_derivative`` only compute a level's value; a line's level is an
+exact sum of Horner chunk sums of fixed-point ints by index.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from math import isqrt
 from operator import itemgetter
@@ -49,13 +51,13 @@ from .hp import PrecisionContext
 from . import special
 
 __all__ = [
-    "QuadratureError", "QuadratureSettings",
-    "line_settings", "lambda_line_settings",
-    "VerticalProduct", "line_integral", "cauchy_derivative", "psi_kernel",
+    "QuadratureError", "VerticalProduct", "line_integral", "cauchy_derivative", "psi_kernel",
 ]
 
 # floor of the scale in the stopping rule of both quadratures
 _ABS_FLOOR = mpf("1e-5")
+# first step of a line integral, halved on refinement
+_H0 = mpf(1) / 8
 # doublings a vertical line or a Cauchy circle may take past its first level
 _LINE_REFINE_LIMIT = 10
 _CIRCLE_REFINE_LIMIT = 7
@@ -87,34 +89,10 @@ class QuadratureError(ArithmeticError):
         self.trace = trace or []
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Trapezoid on the vertical line Re(s) = c from step h0, halved on
-    refinement; the tail test of ``line_integral`` ends every level."""
-
-    c: mpf
-    h0: mpf
-
-
-def line_settings(c) -> QuadratureSettings:
-    """Settings for a production line integral, from h = 1/8; requires c > 1
-    (the strip in which every integrand here is analytic up to its leftmost
-    kept pole)."""
-    c = mpf(c)
-    if not c > 1:
-        raise special.DomainError(f"line abscissa must satisfy c > 1, got {c}")
-    return QuadratureSettings(c=c, h0=mpf(1) / 8)
-
-
-def lambda_line_settings(lam) -> QuadratureSettings:
-    """Settings for the negative-abscissa line used only by the self-duality
-    cross-check; analyticity strip there is ~1/2 wide, so start at h=1/32."""
-    return QuadratureSettings(c=mpf(lam), h0=mpf(1) / 32)
-
-
 def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
-    """Run levels 0..limit of a node-doubling quadrature and return the
-    first accepted value (the stopping rule of the module docstring).
+    """Run levels 0..limit of a node-doubling quadrature and return
+    (value, estimate) of the first accepted level: the stopping rule of the
+    module docstring, the estimate its mpf disc^2/scale.
     ``level(i, prev)`` gives level i's value and its step fields; ``prev`` is
     the previous value or None. Every level appends a step to ``trace`` (a
     fresh list when None), which the trace sink gets as well; the
@@ -135,7 +113,7 @@ def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
             done = est <= rel * scale
         steps.append(step)
         if done:
-            return val
+            return val, est
         prev = val
     hint = " (a singularity may lie inside the circle)" if kind == "circle" else ""
     raise QuadratureError(
@@ -275,9 +253,11 @@ def _tail_scan(P, lo, thr, consec):
     return None, consec
 
 
-def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: PrecisionContext,
-                  *, trace: list | None = None) -> mpf:
-    """(1/2 pi i) * integral of the VerticalProduct ``f`` over Re(s) = c.
+def line_integral(f: VerticalProduct, c, ctx: PrecisionContext,
+                  *, h0=_H0, trace: list | None = None) -> tuple[mpf, mpf]:
+    """(value, estimate): value is (1/2 pi i) * integral of the
+    VerticalProduct ``f`` over Re(s) = c, estimate the accepted level's
+    embedded error estimate disc^2/scale (the module docstring), as mpf.
 
     Every factor of ``f`` is real on the real axis and its base is positive,
     so f(c - it) is the conjugate of f(c + it): the lower half-line folds
@@ -300,13 +280,13 @@ def line_integral(f: VerticalProduct, settings: QuadratureSettings, ctx: Precisi
         raise special.DomainError(f"a line product needs gamma_power - cos_power >= 1, "
                                   f"got {f.gamma_power} - {f.cos_power}")
     with ctx.scoped():
-        c = settings.c
+        c = mpf(c)
         rel = mpf(10) ** (-ctx.digits)
-        grid = settings.h0 / 2 ** _LINE_REFINE_LIMIT
+        grid = h0 / 2 ** _LINE_REFINE_LIMIT
         chunk = special._RUN_CHUNK
 
         def level(i, prev):
-            h = settings.h0 / 2 ** i
+            h = h0 / 2 ** i
             dn = 1 << (_LINE_REFINE_LIMIT - i)
             w = h / (2 * mp.pi)
             jtail = int(5 / h) + 1
@@ -360,7 +340,7 @@ def cauchy_derivative(f, order: int, ctx: PrecisionContext,
                         [t for j in range(M // 2) for t in (terms[j], term(2 * j + 1, M))])
             return fac / M * mp.fsum(terms), {"M": M}
 
-        return _refine("circle", {"order": order}, _CIRCLE_REFINE_LIMIT, rel, level, trace)
+        return _refine("circle", {"order": order}, _CIRCLE_REFINE_LIMIT, rel, level, trace)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,4 +357,4 @@ def psi_kernel(k: int, z, ctx: PrecisionContext):
         if not z > 0 or k < 1:
             raise special.DomainError("psi_kernel requires k >= 1 and z > 0")
         f = VerticalProduct(ctx, gamma_power=k, cos_power=k - 1, neg_s_base=z)
-        return line_integral(f, line_settings(mpf(5) / 2), ctx)
+        return line_integral(f, mpf(5) / 2, ctx)[0]

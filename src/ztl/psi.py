@@ -2,6 +2,8 @@
 divisor series over it: ``psi(k, rho, x, ctx, strategy="auto")`` returns a
 ``PsiValue`` (value, error estimate, the strategy that ran), and
 ``series_L(k, m, rho, ctx, strategy="fold")`` returns the series as an mpf.
+The inverse-Mellin error estimate is the line integral's own mpf
+disc^2/scale, scaled by 2^-k with the value.
 
 Psi strategies:
 
@@ -157,11 +159,7 @@ def _psi_inverse_mellin(k, rho, x, ctx) -> PsiValue:
     """(1/2 pi i) times the integral over Re(s) = 5/2 of
     Gamma^k(s) zeta^k(s) cos^{k-1}(pi s/2) (rho x)^{-s}, as 2^-k times the
     integral of its Gamma-free form ``dual_product(k, rho x)``."""
-    tr: list = []
-    v = mellin.line_integral(dual_product(k, rho * x, ctx), mellin.line_settings(mpf(5) / 2),
-                             ctx, trace=tr)
-    # line_integral returns only on a level that carries an estimate
-    est = mpf(tr[-1]["estimate"])
+    v, est = mellin.line_integral(dual_product(k, rho * x, ctx), mpf(5) / 2, ctx)
     return PsiValue(value=mp.ldexp(v, -k), error_estimate=mp.ldexp(est, -k),
                     strategy="inverse_mellin")
 
@@ -218,8 +216,7 @@ def series_L(k: int, m: int, rho, ctx: PrecisionContext, strategy: str = "fold")
             if k > 2:
                 raise special.DomainError("the terms strategy is only available for k in {1, 2}")
             return _terms_series(k, m, rho, ctx, _TERMS_CAP)[0]
-        settings = mellin.line_settings(fold_line(m)[0])
-        v = mellin.line_integral(dual_product(k, rho, ctx, m), settings, ctx)
+        v, _ = mellin.line_integral(dual_product(k, rho, ctx, m), fold_line(m)[0], ctx)
         return mp.ldexp(v, -k)
 
 

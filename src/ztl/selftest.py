@@ -268,9 +268,8 @@ def check_mesh_refinement_geometric(ctx):
         # so there is always a ratio to test
         for x in (1, 5, 3):
             f = mellin.VerticalProduct(ctx, gamma_power=1, neg_s_base=x)
-            st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1))
             tr = []
-            mellin.line_integral(f, st, ctx, trace=tr)
+            mellin.line_integral(f, 2, ctx, h0=mpf(1), trace=tr)
             discs = [t["discrepancy"] for t in tr if t["discrepancy"]]
             ok = (ok and len(discs) >= 2
                   and all(a / b >= 10 for a, b in zip(discs, discs[1:])))
@@ -295,14 +294,14 @@ def check_tail_below_tolerance(ctx):
     worst = mpf(0)
     with ctx.scoped():
         for k, m in ((4, None), (1, 1), (3, -7)):
-            st = mellin.line_settings(5 / 2 if m is None else fold_line(m)[0])
+            c = mpf(5) / 2 if m is None else mpf(fold_line(m)[0])
             f = dual_product(k, (2 * mp.pi * mp.exp(mpf(3) / 10)) ** k, ctx, m)
             tr = []
-            value = mellin.line_integral(f, st, ctx, trace=tr)
+            value, _ = mellin.line_integral(f, c, ctx, trace=tr)
             h, t = mpf(tr[-1]["h"]), mpf(tr[-1]["t"])
-            grid = st.h0 / 2 ** mellin._LINE_REFINE_LIMIT
+            grid = mellin._H0 / 2 ** mellin._LINE_REFINE_LIMIT
             n, dn = int(t / h), int(h / grid)
-            P, (W, z, _), scale = f.eval_vertical(st.c, (n + 1) * dn, dn, n // 2, grid)
+            P, (W, z, _), scale = f.eval_vertical(c, (n + 1) * dn, dn, n // 2, grid)
             re, _ = mellin._chunk_sum(P, len(P), (W, f._rotation((n + 1) * h, W), z))
             worst = max(worst, abs(h / mp.pi * scale * re) / max(abs(value), mpf("1e-5")))
     return (worst <= mpf(10) ** -ctx.digits,
@@ -331,7 +330,7 @@ def check_fixed_line_cancellation(ctx):
         rho = 2 * mp.pi * mp.exp(3)
         gaps.append(gap(series_L(2, 1, rho, ctx), series_L(2, 1, rho, ctx, strategy="terms")))
         f = mellin.VerticalProduct(ctx, gamma_power=2, cos_power=1, neg_s_base=3)
-        v = mellin.line_integral(f, mellin.line_settings(3), ctx)
+        v, _ = mellin.line_integral(f, 3, ctx)
         pair = 2 * special.bessel_k0(2 * mp.expjpi(mpf(1) / 4) * mp.sqrt(3), ctx).real
         gaps.append(gap(v, pair))
         worst = max(gaps)

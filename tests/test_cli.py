@@ -67,6 +67,20 @@ def test_psi_plot_data(tmp_path, capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "ramanujan", "--digits", "15"],
+    ["sweep", "--identity", "ramanujan", "--digits", "15", "--jobs", "1"],
+    ["psi", "--k", "1", "--rho", "2", "--x", "1", "--digits", "15"],
+], ids=["verify", "sweep", "psi"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 means an identity failed: an --out that cannot be opened is a
+    # usage error (exit 2) with one line, not a traceback
+    path = tmp_path / "missing" / "x.csv"
+    assert run(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_sweep_csv_and_json(tmp_path, capsys):
     csvp = tmp_path / "r.csv"
     code = run(["sweep", "--identity", "ramanujan", "--m", "1,-1",

@@ -12,18 +12,12 @@ from conftest import fixed_to_mpc
 from ztl import hp, identities, mellin, special
 
 
-def test_settings_require_c_above_one(ctx50):
-    with pytest.raises(special.DomainError):
-        mellin.line_settings(mpf(1) / 2)
-
-
 def test_mellin_inversion_of_exp(ctx50):
     # (1/2 pi i) int Gamma(s) x^{-s} ds = e^{-x}
     with ctx50.scoped():
-        st = mellin.line_settings(2)
         for x in (1, 5):
             f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=x)
-            v = mellin.line_integral(f, st, ctx50)
+            v, _ = mellin.line_integral(f, 2, ctx50)
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
 
 
@@ -31,13 +25,13 @@ def test_embedded_estimate_accepts_second_level(ctx50):
     # at h0 = 1/8 the first discrepancy is ~1e-44, so its square already
     # clears 1e-50: the h = 1/16 level is accepted without a confirming level
     with ctx50.scoped():
-        st = mellin.line_settings(2)
         for x in (1, 5):
             f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=x)
             tr = []
-            v = mellin.line_integral(f, st, ctx50, trace=tr)
+            v, est = mellin.line_integral(f, 2, ctx50, trace=tr)
             assert len(tr) == 2
-            assert tr[0]["estimate"] is None and tr[1]["estimate"] is not None
+            assert tr[0]["estimate"] is None and tr[1]["estimate"] == float(est)
+            assert isinstance(est, mpf) and est <= ctx50.tolerance(0) * abs(v)
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
 
 
@@ -45,9 +39,8 @@ def test_non_convergence_raises_with_last_values(ctx50, monkeypatch):
     monkeypatch.setattr(mellin, "_LINE_REFINE_LIMIT", 1)
     with ctx50.scoped():
         f = mellin.VerticalProduct(ctx50, gamma_power=1, neg_s_base=2)
-        st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 2)
         with pytest.raises(mellin.QuadratureError) as exc:
-            mellin.line_integral(f, st, ctx50)
+            mellin.line_integral(f, 2, ctx50, h0=mpf(1) / 2)
         # with no trace list passed and no sink installed, the error still
         # carries every level
         steps = exc.value.trace
@@ -116,12 +109,11 @@ def test_line_stops_when_a_chunk_ends_the_tail(ctx30, monkeypatch):
     # memo key with Gamma(s) on the same line, so the memo is cleared
     # around it
     monkeypatch.setattr(mellin, "_LINE_REFINE_LIMIT", 0)
-    st = mellin.QuadratureSettings(c=mpf(2), h0=mpf(1) / 8)
     tr = []
     special.clear_caches()
     try:
         with pytest.raises(mellin.QuadratureError):
-            mellin.line_integral(_Notch(ctx30, gamma_power=1), st, ctx30, trace=tr)
+            mellin.line_integral(_Notch(ctx30, gamma_power=1), 2, ctx30, trace=tr)
     finally:
         special.clear_caches()
     assert tr[0]["t"] == 12.0
@@ -195,7 +187,7 @@ def test_cold_line_is_freed_without_the_cyclic_gc(ctx30):
     gc.disable()
     try:
         f = mellin.VerticalProduct(ctx30, gamma_power=1, neg_s_base=3)
-        mellin.line_integral(f, mellin.line_settings(2), ctx30)
+        mellin.line_integral(f, 2, ctx30)
         (line,) = special._PRODUCT_MEMO.values()
         ref = weakref.ref(line)
         del line
@@ -216,7 +208,7 @@ def test_line_rejects_a_product_that_does_not_decay(ctx30, monkeypatch, powers):
     f = mellin.VerticalProduct(ctx30, **powers)
     monkeypatch.setattr(f, "eval_vertical", no_nodes)
     with pytest.raises(special.DomainError):
-        mellin.line_integral(f, mellin.line_settings(2), ctx30)
+        mellin.line_integral(f, 2, ctx30)
 
 
 @pytest.mark.parametrize("base", [0, -3, mpc(2, 1), mp.inf, mp.nan])

@@ -4,6 +4,8 @@ main identity FAIL on at least one of three 30-digit cells that the
 unpatched program passes. The expected pattern names the cells that catch
 it."""
 
+from importlib import import_module
+
 import pytest
 from mpmath import mpf
 
@@ -41,12 +43,25 @@ def _drop_last_coefficient(monkeypatch):
     monkeypatch.setattr(idn, "bernoulli_block_coeffs", lambda k, m: coeffs(k, m)[:-1])
 
 
+def _fold_left_of_a_pole(monkeypatch):
+    # the fold line at c = max(1, -2m) - 1/2, left of the zeta pole at
+    # s = 1 or s = -2m that the right one keeps to its left
+    def mutant(m):
+        c = max(1, -2 * m) - 0.5
+        return c, frozenset((c + 2 * m + 1, 1 - c))
+
+    # the module: the package's name psi is the function
+    monkeypatch.setattr(import_module("ztl.psi"), "fold_line", mutant)
+
+
 @pytest.mark.parametrize("mutate,passed", [
     (None, [True, True, True]),
     (_flip_q1, [False, True, False]),
     (_scale_derivative, [False, False, False]),
     (_drop_last_coefficient, [False, False, False]),
-], ids=["unpatched", "bernoulli-q1-sign", "derivative-scaled", "bernoulli-last-dropped"])
+    (_fold_left_of_a_pole, [False, False, False]),
+], ids=["unpatched", "bernoulli-q1-sign", "derivative-scaled", "bernoulli-last-dropped",
+        "fold-left-of-a-pole"])
 def test_mutant_fails_a_main_cell(monkeypatch, mutate, passed):
     if mutate is not None:
         mutate(monkeypatch)

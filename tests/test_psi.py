@@ -93,6 +93,18 @@ def test_term_sum_matches_inverse_mellin_k3(ctx30):
         assert abs(a.value - b.value) < ctx30.tolerance(8)
 
 
+def test_inverse_mellin_estimate_keeps_its_precision(ctx30):
+    # the error estimate is the line's disc^2/scale times 2^-k at working
+    # precision, recomputed here from the last two levels' values; a float
+    # on its way would cost it about 1e-16 relative
+    with mellin.trace_sink(True) as sink:
+        val = psi(3, 2, 1, ctx30, strategy="inverse_mellin")
+    with ctx30.scoped():
+        prev, last = (mpf(step["value"]) for step in sink[-1]["steps"][-2:])
+        want = mp.ldexp((last - prev) ** 2 / max(mpf("1e-5"), abs(last)), -3)
+        assert abs(val.error_estimate - want) <= mpf("1e-19") * want
+
+
 # ---------------------------------------------------------------------------
 # weighted series
 
@@ -164,8 +176,7 @@ def test_fold_agrees_at_shifted_abscissa(ctx50, k, m, rho):
         c = mpf(max(1, -2 * m)) + mpf(3) / 2
 
         def fold(f, line):
-            st = mellin.line_settings(line)
-            return mellin.line_integral(f, st, ctx50)
+            return mellin.line_integral(f, line, ctx50)[0]
 
         vals = [mp.ldexp(fold(dual_product(k, rho, ctx50, m), line), -k) for line in (c, c + 1)]
         gamma_form = fold(VerticalProduct(ctx50, zeta_factors=[(0, 1, k), (2 * m + 1, 1, k)],
@@ -238,8 +249,7 @@ def _line_at(h0):
     ctx = with_precision(15)
     with ctx.scoped():
         f = VerticalProduct(ctx, gamma_power=1, neg_s_base=3)
-        st = mellin.QuadratureSettings(c=mpf(2), h0=h0)
-        return mellin.line_integral(f, st, ctx)
+        return mellin.line_integral(f, 2, ctx, h0=h0)[0]
 
 
 @pytest.mark.parametrize("first,second", [
