@@ -246,8 +246,11 @@ def cmd_sweep(args) -> int:
 def _run(cfg: RunConfig) -> int:
     """Run every cell of the grid, one batch per worker (``_plan``), print
     the reports (and traces) in grid order, write --out, and name each cell
-    that did not converge; such a cell simply has no row in the output."""
+    that did not converge; such a cell simply has no row in the output.
+    An --out that cannot be written fails before any cell runs."""
     tasks = _sweep_grid(cfg)
+    if cfg.out:
+        _write_file(cfg.out, "", "a")
     batches = _plan(tasks, cfg.jobs or os.cpu_count() or 1)
     if len(batches) > 1:
         with ProcessPoolExecutor(max_workers=len(batches)) as pool:
@@ -305,10 +308,12 @@ def _write_rows(path, fmt, reports, timing=False):
     _write_file(path, body)
 
 
-def _write_file(path, body):
-    """Write --out; a path that cannot be written is a usage error."""
+def _write_file(path, body, mode="w"):
+    """Write --out; a path that cannot be written is a usage error. Mode "a"
+    with an empty body probes the path: it creates a missing file and
+    truncates none."""
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             fh.write(body)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}")

@@ -28,17 +28,27 @@ node in a row past t = 5 below 10^-digits * max(10^-5, |ref|)/10, where ref
 is the previous level's value or, on the first level, the level's running
 sum, read again at each chunk of ``special._RUN_CHUNK`` nodes.
 
+Precision follows the integrand: a fold line's cold zeta runs are computed
+at the bits that keep each node within 2^-(prec+16) of the line's node at
+t = 0, from a rigorous bound on the product that holds for every k <= 4
+(``_run_bits`` and the block comment before it), so a level stays within
+2^-prec of that node, as its mpc arithmetic already does. Every other line,
+and every direct ``VerticalProduct._product_run`` call, runs at the
+context's precision.
+
 One driver, ``_refine``, runs the levels of both quadratures: it records
 every level's step, applies the stopping rule, returns the accepted value
-with its estimate, registers the steps with the ``--trace`` sink (where the
-discrepancy and estimate are floats, for reading only) and raises
-``QuadratureError`` carrying them. ``line_integral`` and
-``cauchy_derivative`` only compute a level's value; a line's level is an
-exact sum of Horner chunk sums of fixed-point ints by index.
+with its estimate, registers the steps with the ``--trace`` sink (where
+the value, discrepancy and estimate are mpf strings, which keep exponents
+a float would underflow to 0.0) and raises ``QuadratureError`` carrying
+them. ``line_integral`` and ``cauchy_derivative`` only compute a level's
+value; a line's level is an exact sum of Horner chunk sums of fixed-point
+ints by index.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import partial
 from math import isqrt
@@ -109,7 +119,7 @@ def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
             disc = abs(val - prev)
             scale = max(_ABS_FLOOR, abs(val))
             est = disc * disc / scale
-            step["discrepancy"], step["estimate"] = float(disc), float(est)
+            step["discrepancy"], step["estimate"] = str(disc), str(est)
             done = est <= rel * scale
         steps.append(step)
         if done:
@@ -119,6 +129,59 @@ def _refine(kind: str, head: dict, limit: int, rel, level, trace: list | None):
     raise QuadratureError(
         f"{kind} quadrature did not converge within {limit} refinements{hint}",
         trace=steps)
+
+
+# ---------------------------------------------------------------------------
+# the precision of a fold line's cold zeta runs
+#
+# A fold line (``psi.dual_product`` with m) carries the product
+# P_k(t) = zeta^k(a + s) zeta^k(1 - s) / cos(pi s/2) at s = c + it. By the
+# functional equation zeta(1 - s) = 2 (2 pi)^-s cos(pi s/2) Gamma(s) zeta(s)
+# (DLMF 25.4.2), |P_k| = [2 (2 pi)^-c |zeta(a + s) zeta(s) Gamma(s)|]^k
+# |cos(pi s/2)|^(k-1). For a half-integer c > 1 and a + c > 1:
+#   |zeta(sigma + it)| <= zeta(sigma)                  (sigma > 1),
+#   |Gamma(c + it)|^2 = pi/cosh(pi t) prod_j ((j + 1/2)^2 + t^2), j < c - 1/2,
+#   |cos(pi (c + it)/2)|^2 = 1/2 + sinh^2(pi t/2) = cosh(pi t)/2,
+# so every k has |P_k(t)| <= U(t) |P_k(0)| with
+#   U(t) = prod_j (1 + t^2/(j + 1/2)^2)^(K/2) / sqrt(cosh(pi t)),  K >= k,
+# no zeta value and no rho in it. _TAPER_K = 4 is the largest k of the
+# acceptance and README grids; a line of larger k runs at full precision.
+# A zeta value at p bits is within 2^(3-p) of zeta, relatively (the kernel's
+# promise; the registry check special.zeta_run_paired), so P_k, a product of
+# 2k <= 8 of them, is within 2^(6-p) |P_k| (1 + 2^-57) once p >= 64. A run at
+# p = prec + _TAPER_G + 7 + ceil(log2 max U) (at most prec, at least 64) thus
+# keeps every node within 2^-(prec+_TAPER_G) |P_k(0)|, and a level summing
+# up to 2^_TAPER_G nodes within 2^-prec |P_k(0)|: P_k(0) is one of its
+# nodes, so that is inside the 2^-prec sum |P_u| its mpc arithmetic already
+# costs. Production levels sum a few thousand nodes, so _TAPER_G = 16.
+# The precision depends on the abscissa pair, the t-range and prec only,
+# never on k, rho or the line reading it, so lines of one abscissa pair
+# (k = 1 and 2 of one m, every rho) still share their zeta runs.
+_TAPER_K = 4
+_TAPER_G = 16
+_TAPER_FLOOR = 64
+
+
+def _log2_bound(c: float, lo: float, hi: float) -> float:
+    """log2 of max U(t) over lo <= |t| <= hi: its product grows with |t| and
+    cosh(pi t) does too, so the product at hi over the cosh at lo."""
+    x = math.pi * lo
+    log2_cosh = (x + math.log1p(math.exp(-2 * x)) - math.log(2)) / math.log(2)
+    grow = sum(math.log2(1 + hi * hi / (j + 0.5) ** 2) for j in range(int(c - 0.5)))
+    return _TAPER_K / 2 * grow - log2_cosh / 2
+
+
+def _run_bits(sigmas, t0, dt, count: int, prec: int) -> int:
+    """The precision of a fold line's zeta run at the abscissa pair
+    (a + c, 1 - c), t = t0 + u dt for u < count: prec, lowered by the block
+    comment's rule where c is a half-integer > 1 and a + c > 1."""
+    s1, c = float(sigmas[0]), 1 - float(sigmas[1])
+    if not (s1 > 1 and c > 1 and (c - 0.5).is_integer()):
+        return prec
+    ends = float(t0), float(t0 + (count - 1) * dt)
+    lo = 0.0 if min(ends) <= 0 <= max(ends) else min(map(abs, ends))
+    need = prec + _TAPER_G + 7 + math.ceil(_log2_bound(c, lo, max(map(abs, ends))))
+    return max(_TAPER_FLOOR, min(prec, need))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +203,10 @@ class VerticalProduct:
     ``psi_kernel``, its nodes from the scalar memo. Of base^{-s}, base^{-c}
     rides on the chunk's scale, and of the rotation e^{-it ln base} the step z
     and z^_RUN_CHUNK are handed back, for ``_chunk_sum`` to sum a chunk by
-    Horner's rule in z: a known node costs one int complex multiply.
+    Horner's rule in z: a known node costs one int complex multiply. A
+    fold line of k <= _TAPER_K (zeta factors (a, 1, k) and (1, -1, k),
+    cos power -1) fills its missing nodes by ``_tapered_run``, its zeta run
+    at the precision ``_run_bits`` gives the run.
 
     A base that is not a finite positive real raises DomainError: with it,
     the product is real on the real axis, the premise of ``line_integral``.
@@ -160,12 +226,20 @@ class VerticalProduct:
         # (c, dn, grid) -> (line, rot, {shift: scale}); no bound method, whose cycle pins lines
         self._lines: dict = {}
 
+        # a fold line of k <= _TAPER_K fills its cold nodes by _tapered_run
+        self._tapers = (gamma_power == 0 and cos_power == -1 and len(self.zeta_factors) == 2
+                        and self.zeta_factors[0][1] == 1
+                        and self.zeta_factors[1] == (1, -1, self.zeta_factors[0][2])
+                        and self.zeta_factors[0][2] <= _TAPER_K)
+
     def eval_vertical(self, c, n0, dn, count, grid):
         """(P, rot, scale): the value at c + it, t = (n0 + u dn) grid, u < count,
         is scale * P[u] * base^{-it}, P[u] the line's (re, im) ints; c and grid
         are mpf, n0 and dn ints. rot = (W, z, z^_RUN_CHUNK), z = base^{-i dn grid}
         as (re, im) ints with W fractional bits, looked up once per (c, dn, grid)
-        with the line and scale: known nodes make no mpmath call."""
+        with the line and scale: known nodes make no mpmath call. Missing
+        nodes of a fold line come from ``_tapered_run``, of any other line
+        from ``_product_run``."""
         key = c._mpf_, dn, grid._mpf_
         state = self._lines.get(key)
         if state is None:
@@ -179,7 +253,8 @@ class VerticalProduct:
         out = list(map(line.nodes.get, range(n0, n0 + count * dn, dn)))
         if None in out or line.shift not in scales:
             with self.ctx.scoped():
-                line.fill(out, partial(self._product_run, c), n0, dn, grid)
+                run = self._tapered_run if self._tapers else self._product_run
+                line.fill(out, partial(run, c), n0, dn, grid)
                 if line.shift not in scales:   # set by the line's first nonzero node
                     scales[line.shift] = mp.exp(-c * self.ln_base) * line.unit()
         return out, rot, scales[line.shift]
@@ -189,14 +264,23 @@ class VerticalProduct:
         re, im = mp.expj(-t * self.ln_base)._mpc_
         return to_fixed(re, W), to_fixed(im, W)
 
-    def _product_run(self, c, t0, dt, count):
+    def _tapered_run(self, c, t0, dt, count):
+        """``_product_run`` of a fold line, its zeta run at the precision
+        ``_run_bits`` gives the run's abscissa pair and t-range."""
+        sigmas = (self.zeta_factors[0][0] + c, 1 - c)
+        return self._product_run(c, t0, dt, count,
+                                 bits=_run_bits(sigmas, t0, dt, count, self.ctx.prec_bits))
+
+    def _product_run(self, c, t0, dt, count, *, bits=None):
         """P at c + i(t0 + u dt), u < count. Every zeta factor rides one
-        vertical run: zeta(a - s) is the conjugate of zeta(a - c + it), and
-        the abscissas a + eps c differ by integers (c is a half-integer)."""
+        vertical run, at ``bits`` of precision (the context's by default):
+        zeta(a - s) is the conjugate of zeta(a - c + it), and the abscissas
+        a + eps c differ by integers (c is a half-integer)."""
         vals = [mpc(1)] * count
         if self.zeta_factors:
             runs = special.zeta_vertical_run(
-                tuple(a + eps * c for (a, eps, _) in self.zeta_factors), t0, dt, count, self.ctx)
+                tuple(a + eps * c for (a, eps, _) in self.zeta_factors), t0, dt, count, self.ctx,
+                bits=bits)
             for (_, eps, power), run in zip(self.zeta_factors, runs):
                 for u in range(count):
                     v = run[u] if eps == 1 else run[u].conjugate()
@@ -267,8 +351,11 @@ def line_integral(f: VerticalProduct, c, ctx: PrecisionContext,
     fixed-point ints exactly (``special.FixedLine`` bounds their rounding by
     2^-(prec+24) of the line's first nonzero node, below the 2^-prec
     sum |v_j| of mpc arithmetic also on a line that cancels) and scales the
-    sum once; the chunk from node j sums by Horner's rule in z = base^{-ih}
-    from the seed z^j, the previous chunk's seed times z^_RUN_CHUNK. The
+    sum once; a fold line's tapered nodes (``_run_bits``) add at most
+    2^-prec of its node at t = 0 to a level of up to 2^_TAPER_G nodes,
+    inside the same sum |v_j| bound. The chunk from node j sums by Horner's
+    rule in z = base^{-ih} from the seed z^j, the previous chunk's seed
+    times z^_RUN_CHUNK. The
     tail test of the module docstring ends each level, on the base-free ints
     as pr^2 + pi^2 < (eps/scale)^2 (|base^{-it}| = 1), so no node past the
     stop is rotated; its step records that last height t.

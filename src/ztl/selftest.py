@@ -260,6 +260,44 @@ def check_product_conjugate_symmetry(ctx):
             f"960 nodes, worst relative gap {mp.nstr(worst, 3)}")
 
 
+def check_tapered_nodes_within_budget(ctx):
+    """The tapered fill of a fold line (``mellin._run_bits``) against a
+    full-precision recomputation: on the fold lines (k, m) in {(1, 1),
+    (3, -1), (4, -2), (2, 7), (1, -7)}, 24-node runs of step 1/8 from
+    t = 0, 20, ..., 160, each run once as the fill computes it and once by
+    ``_product_run`` at the context's precision, the memos cleared before
+    each. Every node within 2^-(prec+_TAPER_G) |P_k(0)| of the full one,
+    |P_k(t)| <= U(t) |P_k(0)| at every node past t = 0 (where U = 1), and
+    some run tapered."""
+    G = mellin._TAPER_G
+    worst, margin, tapered = -math.inf, math.inf, 0
+    with ctx.scoped():
+        dt = mpf(1) / 8
+        for k, m in ((1, 1), (3, -1), (4, -2), (2, 7), (1, -7)):
+            c = mpf(fold_line(m)[0])
+            f = dual_product(k, 1, ctx, m)
+            p0 = None
+            for t0 in range(0, 161, 20):
+                special.clear_caches()
+                cheap = f._tapered_run(c, mpf(t0), dt, 24)
+                special.clear_caches()
+                full = f._product_run(c, mpf(t0), dt, 24)
+                p0 = abs(full[0]) if p0 is None else p0
+                bits = mellin._run_bits((2 * m + 1 + c, 1 - c), mpf(t0), dt, 24, ctx.prec_bits)
+                tapered += bits < ctx.prec_bits
+                for u, (a, b) in enumerate(zip(cheap, full)):
+                    if a != b:
+                        worst = max(worst, float(mp.log(abs(a - b) / p0, 2)) + ctx.prec_bits + G)
+                    t = t0 + u * float(dt)
+                    if t > 0:
+                        margin = min(margin, mellin._log2_bound(float(c), t, t)
+                                     - float(mp.log(abs(b) / p0, 2)))
+    special.clear_caches()
+    return (worst <= 0 and margin >= 0 and tapered > 0,
+            f"{tapered} of 45 runs tapered; worst node 2^{worst:.1f} of its budget "
+            f"2^-(prec+{G}) |P_k(0)|; log2 U(t) - log2 |P_k(t)/P_k(0)| >= {margin:.2f} for t > 0")
+
+
 def check_mesh_refinement_geometric(ctx):
     with ctx.scoped():
         ok = True
@@ -270,7 +308,7 @@ def check_mesh_refinement_geometric(ctx):
             f = mellin.VerticalProduct(ctx, gamma_power=1, neg_s_base=x)
             tr = []
             mellin.line_integral(f, 2, ctx, h0=mpf(1), trace=tr)
-            discs = [t["discrepancy"] for t in tr if t["discrepancy"]]
+            discs = [mpf(t["discrepancy"]) for t in tr if t["discrepancy"] is not None]
             ok = (ok and len(discs) >= 2
                   and all(a / b >= 10 for a, b in zip(discs, discs[1:])))
             details.append("x%d: %d discrepancies" % (x, len(discs)))
@@ -530,6 +568,7 @@ CHECKS = [
     ("special", "bessel_k0_mpmath", check_bessel_k0_mpmath, 50),
     ("special", "zeta_run_paired", check_zeta_run_paired, 50),
     ("mellin", "product_conjugate_symmetry", check_product_conjugate_symmetry, 50),
+    ("mellin", "tapered_nodes_within_budget", check_tapered_nodes_within_budget, 50),
     ("mellin", "mesh_refinement_geometric", check_mesh_refinement_geometric, 30),
     ("mellin", "cauchy_order_zero", check_cauchy_order_zero, 50),
     ("mellin", "tail_below_tolerance", check_tail_below_tolerance, 50),

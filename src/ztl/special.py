@@ -21,12 +21,16 @@ Three evaluation surfaces coexist:
   the same kernel on one node and one abscissa. There is no
   functional-equation branch: left of 1 the kernel tightens its tail's
   stopping test, and a run entirely left of 1 carries more guard bits, by
-  ceil((1 - sigma) log2 N) each.
+  ceil((1 - sigma) log2 N) each. A run is computed at the context's
+  precision, or at the fewer bits that ``mellin._run_bits`` gives a cold
+  run of a fold line, where the integrand has fallen far below its peak;
+  the kernel sizes N, J and its fixed-point width from the bits it is
+  handed.
 * Taylor jets at s = 0 (``zeta_jet``, ``log_gamma1_jet`` and the
   ``series_*`` helpers), from which the identities' residue terms are read.
 
 Every evaluation is memoized per node: Gamma and scalar zeta per point,
-``zeta_vertical_run`` per (abscissa, t), and ``_PRODUCT_MEMO`` holds the
+``zeta_vertical_run`` per (abscissa, t, bits), and ``_PRODUCT_MEMO`` holds the
 base-free products of ``mellin.VerticalProduct``, one ``FixedLine`` per
 line: fixed-point (re, im) ints under one exponent for the line, keyed by
 the int node index n of t = n * grid. ``_JET_MEMO`` holds the rho-free
@@ -227,7 +231,8 @@ _RUN_CHUNK = 96
 _PRODUCT_MEMO: dict = {}
 
 
-def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
+def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext,
+                      *, bits: int | None = None) -> list:
     """[zeta(sigma + i(t0 + u*dt)) for u in range(count)], memoized per node.
 
     ``sigma`` may be a tuple of abscissas that differ by integers; then the
@@ -236,9 +241,12 @@ def zeta_vertical_run(sigma, t0, dt, count: int, ctx: PrecisionContext) -> list:
     _RUN_CHUNK nodes, and every abscissa's values are memoized under its own
     key, so a call returns the same values whichever nodes the memo already
     held. ``FixedLine.fill`` hands in only the missing nodes of a line, as
-    maximal equispaced runs."""
+    maximal equispaced runs. The values carry ``bits`` of precision,
+    ctx.prec_bits by default; a fold line's tapered fill
+    (``mellin.VerticalProduct``) passes fewer, and the memo key carries
+    them."""
     with ctx.scoped():
-        prec = ctx.prec_bits
+        prec = ctx.prec_bits if bits is None else bits
         sigmas = tuple(map(mpf, sigma)) if isinstance(sigma, tuple) else (mpf(sigma),)
         t0 = mpf(t0)
         dt = mpf(dt)
@@ -436,7 +444,11 @@ class FixedLine:
     changes; nodes before it are (0, 0). So every node carries at most a unit
     of rounding, 2^-(prec+_GUARD+_NODE_BITS) of the line's first nonzero
     node, and an exact int sum over one level's nodes is off by less than
-    2^-(prec+_GUARD) of that node. Missing nodes are computed by
+    2^-(prec+_GUARD) of that node. A node of a fold line whose zeta runs
+    were tapered (``mellin._run_bits``) is also off by its share of the
+    error budget, at most 2^-(prec+16) of the node at t = 0, which is the
+    line's first nonzero node; a level of up to 2^16 such nodes stays
+    within 2^-prec of it. Missing nodes are computed by
     ``run(t0, dt, count)`` in maximal equispaced runs, since refinement
     levels leave stride-2 gaps between known nodes."""
 

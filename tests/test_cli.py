@@ -81,6 +81,21 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "main", "--digits", "15"],
+    ["sweep", "--identity", "main,ramanujan", "--digits", "15", "--jobs", "1"],
+], ids=["verify", "sweep"])
+def test_unwritable_out_fails_before_any_cell(tmp_path, capsys, monkeypatch, argv):
+    # the --out path is probed before the grid runs: no cell is computed
+    def no_cells(*a):
+        raise AssertionError("_sweep_batch reached")
+    monkeypatch.setattr(cli, "_sweep_batch", no_cells)
+    path = tmp_path / "missing" / "x.csv"
+    assert run(argv + ["--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_sweep_csv_and_json(tmp_path, capsys):
     csvp = tmp_path / "r.csv"
     code = run(["sweep", "--identity", "ramanujan", "--m", "1,-1",

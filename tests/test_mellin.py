@@ -30,9 +30,21 @@ def test_embedded_estimate_accepts_second_level(ctx50):
             tr = []
             v, est = mellin.line_integral(f, 2, ctx50, trace=tr)
             assert len(tr) == 2
-            assert tr[0]["estimate"] is None and tr[1]["estimate"] == float(est)
+            assert tr[0]["estimate"] is None and tr[1]["estimate"] == str(est)
             assert isinstance(est, mpf) and est <= ctx50.tolerance(0) * abs(v)
             assert abs(v - mp.exp(-x)) < ctx50.tolerance(2)
+
+
+def test_trace_keeps_an_estimate_below_the_float_range():
+    # levels 1 and 1 + 10^-200 at 800 bits: disc = 10^-200 and
+    # est = disc^2/scale = 10^-400, which a float would read as 0.0
+    with mp.workprec(800):
+        tr = []
+        val, est = mellin._refine("line", {}, 1, mpf(10) ** -300,
+                                  lambda i, prev: (1 + mpf(10) ** -200 * i, {}), tr)
+        assert mpf("1e-401") < est < mpf("1e-399") and float(est) == 0.0
+        for key, want in (("discrepancy", abs(val - 1)), ("estimate", est)):
+            assert abs(mpf(tr[1][key]) / want - 1) < mpf(10) ** -200
 
 
 def test_non_convergence_raises_with_last_values(ctx50, monkeypatch):

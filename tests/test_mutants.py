@@ -1,15 +1,17 @@
 """Each check here shows that it can fail: a small, plausible wrong program
 (a mutant, applied by monkeypatch; the sources never change) must make the
 main identity FAIL on at least one of three 30-digit cells that the
-unpatched program passes. The expected pattern names the cells that catch
-it."""
+unpatched program passes, or, for an error below what a cell can see, fail
+the registry check named in its test. The expected pattern names the cells
+that catch it."""
 
 from importlib import import_module
 
 import pytest
 from mpmath import mpf
 
-from ztl import hp, special, identities as idn
+from ztl import hp, mellin, special, identities as idn
+from ztl.selftest import check_tapered_nodes_within_budget
 
 DIGITS = 30
 CELLS = ((1, 1, "0.3"), (2, -1, "0.3"), (3, 2, "1.0"))
@@ -54,6 +56,17 @@ def _fold_left_of_a_pole(monkeypatch):
     monkeypatch.setattr(import_module("ztl.psi"), "fold_line", mutant)
 
 
+def _coarse_taper(monkeypatch):
+    # every tapered zeta run of a fold line 64 bits too coarse (16 at least)
+    bits = mellin._run_bits
+
+    def mutant(sigmas, t0, dt, count, prec):
+        b = bits(sigmas, t0, dt, count, prec)
+        return b if b == prec else max(16, b - 64)
+
+    monkeypatch.setattr(mellin, "_run_bits", mutant)
+
+
 @pytest.mark.parametrize("mutate,passed", [
     (None, [True, True, True]),
     (_flip_q1, [False, True, False]),
@@ -70,3 +83,17 @@ def test_mutant_fails_a_main_cell(monkeypatch, mutate, passed):
     reports = [idn.verify("main", k=k, m=m, theta=th, ctx=ctx) for k, m, th in CELLS]
     assert all(r.checked for r in reports)
     assert [r.passed for r in reports] == passed, [str(r) for r in reports]
+
+
+def test_coarse_taper_fails_the_budget_check(monkeypatch):
+    # the registry check mellin.tapered_nodes_within_budget catches it: its
+    # worst node reads about 2^57 of its budget 2^-(prec+16) |P_k(0)|. No
+    # 30-digit main cell does: that is still 2^-141 |P_k(0)| at 30 digits
+    # (prec = 182), far below the cells' tolerance, and all three PASS
+    _coarse_taper(monkeypatch)
+    ok, detail = check_tapered_nodes_within_budget(hp.with_precision(50))
+    assert not ok, detail
+    special.clear_caches()
+    ctx = hp.with_precision(DIGITS)
+    reports = [idn.verify("main", k=k, m=m, theta=th, ctx=ctx) for k, m, th in CELLS]
+    assert [r.passed for r in reports] == [True, True, True], [str(r) for r in reports]
