@@ -7,7 +7,8 @@ only its two sides. Main, ramanujan and dixit share one balanced form
 (``_balanced``); eisenstein and quasimodular are main at -m with the series
 on the left (``_series_left``); lerch is main at alpha = beta = pi; eta has
 sides of its own. Fold-line series and derivative terms come from
-``_fold_bracket``.
+``_fold_bracket``; every residue, the derivative term's too, is read off
+the one pole table, ``psi.fold_poles``.
 
 Parameter convention: alpha = pi e^theta, beta = pi e^-theta, so the
 constraint alpha*beta = pi^2 holds by construction and never drifts.
@@ -26,7 +27,7 @@ from mpmath import mp, mpf
 
 from .hp import PrecisionContext
 from . import special, mellin
-from .psi import dual_product, series_L
+from .psi import dual_product, fold_poles, pole_residue, series_L
 
 __all__ = [
     "VerificationReport", "Identity", "IDENTITIES",
@@ -177,56 +178,13 @@ def pass_tolerance(ctx: PrecisionContext) -> mpf:
 # ---------------------------------------------------------------------------
 # building blocks
 
-def _top_coefficient(jet: list, x):
-    """The last Taylor coefficient of jet(s) exp(x s): a dot product with
-    the jet x^r / r! of exp(x s)."""
-    n = len(jet)
-    e = special.series_exp([mpf(0), x] + [mpf(0)] * (n - 2))
-    return mp.fsum(jet[r] * e[n - 1 - r] for r in range(n))
-
-
-def _cos_jet(n: int) -> list:
-    """Taylor coefficients of cos(pi s/2), r < n; the odd ones are exact zeros."""
-    return [(-1) ** (r // 2) * (mp.pi / 2) ** r / mp.factorial(r) if r % 2 == 0 else mpf(0)
-            for r in range(n)]
-
-
-def _gamma_zeta_jet(k: int, n: int, ctx: PrecisionContext) -> list:
-    """Taylor coefficients of Gamma^k(1+s) zeta^k(s), r < n."""
-    return special.series_mul(
-        special.series_exp([k * c for c in special.log_gamma1_jet(n, ctx)]),
-        special.series_pow(special.zeta_jet(0, n, ctx), k))
-
-
-def _derivative_jet(k: int, m: int, ctx: PrecisionContext) -> list:
-    """Taylor coefficients 0..k-1 of the rho-free product
-    zeta^k(2m+1+s) zeta^k(s) Gamma^k(1+s) cos^{k-1}(pi s/2), memoized per
-    (k, m, precision) in special._JET_MEMO."""
-    key = ("derivative", k, m, ctx.prec_bits)
-    jet = special._JET_MEMO.get(key)
-    if jet is None:
-        with ctx.scoped():
-            jet = special.series_mul(
-                special.series_mul(special.series_pow(special.zeta_jet(2 * m + 1, k, ctx), k),
-                                   _gamma_zeta_jet(k, k, ctx)),
-                special.series_pow(_cos_jet(k), k - 1))
-        special._JET_MEMO[key] = jet
-    return jet
-
-
 def derivative_term(k: int, m: int, rho, ctx: PrecisionContext):
     """(1/(k-1)!) d^{k-1}/ds^{k-1} of
     zeta^k(2m+1+s) zeta^k(s) Gamma^k(s+1) cos^{k-1}(pi s/2) rho^{-s}  at s=0,
-    with rho the same argument handed to the weighted series: the
-    (k-1)-th Taylor coefficient, a k-term dot product of the memoized
-    rho-free jet with the jet of exp(-s ln rho)."""
-    if m == 0:
-        raise special.DomainError("m must be nonzero (s=0 would sit on a pole)")
+    with rho the same argument handed to the weighted series: the residue
+    at s = 0 of the fold integrand, the first entry of ``psi.fold_poles``."""
     with ctx.scoped():
-        rho = mpf(rho)
-        if not rho > 0:
-            raise special.DomainError("rho must be positive")
-        return _top_coefficient(_derivative_jet(k, m, ctx), -mp.log(rho))
+        return pole_residue(fold_poles(k, m, ctx)[0], mpf(rho))
 
 
 def bernoulli_block_coeffs(k: int, m: int) -> list[Fraction]:
@@ -407,11 +365,11 @@ def _eta_jet(k: int, ctx: PrecisionContext) -> list:
     if jet is None:
         n = 2 * k
         with ctx.scoped():
-            f = _gamma_zeta_jet(k, n, ctx)
+            f = special._gamma_zeta_jet(k, n, ctx)
             # coefficient r of f(s) f(-s) is sum_i (-1)^i f_i f_{r-i}
             ff = [mp.fsum((-1) ** i * f[i] * f[r - i] for i in range(r + 1)) if r % 2 == 0
                   else mpf(0) for r in range(n)]
-            jet = special.series_mul(ff, special.series_pow(_cos_jet(n), 2 * k - 1))
+            jet = special.series_mul(ff, special.series_pow(special._cos_jet(n), 2 * k - 1))
         special._JET_MEMO[key] = jet
     return jet
 
@@ -424,7 +382,7 @@ def eta_derivative_term(k: int, theta, ctx: PrecisionContext):
     jet of e^{-k theta s}. At theta = 0 that jet is 1, 0, ..., 0 and the
     theta-free jet is even, so the term is exactly 0."""
     with ctx.scoped():
-        return _top_coefficient(_eta_jet(k, ctx), -k * mpf(theta))
+        return special._top_coefficient(_eta_jet(k, ctx), -k * mpf(theta))
 
 
 def verify_eta(k: int, theta, ctx: PrecisionContext) -> VerificationReport:
@@ -486,32 +444,13 @@ def self_duality_check(k: int, m: int, rho, ctx: PrecisionContext):
         return lhs, rhs
 
 
-def cosine_pole_residues(k: int, m: int, rho, ctx: PrecisionContext):
-    """Simple-pole residues at s = 1-2j, 0 <= j <= m+1, of the shifted-line
-    integrand, in the zeta form (-1)^{j+1} (2/pi) zeta^k(2m+2-2j) zeta^k(2j) X^{2j-1};
-    independent of the Bernoulli-block bookkeeping."""
-    with ctx.scoped():
-        X = mpf(rho) / (2 * mp.pi) ** k
-        out = []
-        for j in range(0, m + 2):
-            sgn = 1 if (j + 1) % 2 == 0 else -1
-            out.append(sgn * 2 / mp.pi * special.zeta(2 * m + 2 - 2 * j, ctx) ** k
-                       * special.zeta(2 * j, ctx) ** k * X ** (2 * j - 1))
-        return out
-
-
 def residue_assembly_check(k: int, m: int, rho, ctx: PrecisionContext):
-    """Contour-shift bookkeeping: 2^k L_m(rho) must equal the two
-    derivative-type residues plus the cosine-pole residues plus the
+    """Contour-shift bookkeeping: 2^k L_m(rho) must equal 2^k times the
+    residues at the ``psi.fold_poles`` right of the lambda line plus the
     lambda-line integral. Returns (lhs, rhs)."""
     with ctx.scoped():
         rho = mpf(rho)
         lhs = mpf(2) ** k * series_L(k, m, rho, ctx)
-        rho_dual = (4 * mp.pi ** 2) ** k / rho
-        r0 = mpf(2) ** k * derivative_term(k, m, rho, ctx)
-        sgn = 1 if (m + 1) % 2 == 0 else -1
-        rneg2m = (sgn * mpf(2) ** k * (rho / (2 * mp.pi) ** k) ** (2 * m)
-                  * derivative_term(k, m, rho_dual, ctx))
-        rhs = r0 + rneg2m + mp.fsum(cosine_pole_residues(k, m, rho, ctx))
-        rhs += lambda_line_value(k, m, rho, ctx)
-        return lhs, rhs
+        res = mp.fsum(pole_residue(pole, rho) for pole in fold_poles(k, m, ctx)
+                      if pole[0] > -2 * m - 2.5)
+        return lhs, mpf(2) ** k * res + lambda_line_value(k, m, rho, ctx)

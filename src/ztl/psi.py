@@ -20,9 +20,11 @@ Psi's closed form depends only on N = j n, so it costs one kernel
 d_k * (d_k n^{-(2m+1)}) from the divisor sieve.
 
 Both folds integrate one Gamma-free ``mellin.VerticalProduct``,
-``dual_product``. Every literal divisor series (Psi's k = 2 closed form,
-``term_sum`` and the ``terms`` series) is one ``_kernel_sum``:
-sum_N weight(N) kernel(z N), truncated by ``special.sum_until_negligible``.
+``dual_product``; ``fold_poles`` tables its poles left of the fold line
+with their rho-free Laurent jets, and ``pole_residue`` reads a residue off
+one. Every literal divisor series (Psi's k = 2 closed form, ``term_sum``
+and the ``terms`` series) is one ``_kernel_sum``: sum_N weight(N)
+kernel(z N), truncated by ``special.sum_until_negligible``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .hp import PrecisionContext
 from . import special, mellin
 from .mellin import VerticalProduct
 
-__all__ = ["PsiValue", "psi", "series_L", "dual_product", "fold_line"]
+__all__ = ["PsiValue", "psi", "series_L", "dual_product", "fold_line", "fold_poles", "pole_residue"]
 
 PSI_STRATEGIES = ("auto", "inverse_mellin", "term_sum", "closed_form")
 
@@ -190,6 +192,49 @@ def fold_line(m: int) -> tuple[float, frozenset[float]]:
     abscissa set share them."""
     c = max(1, -2 * m) + 1.5
     return c, frozenset((c + 2 * m + 1, 1 - c))
+
+
+def fold_poles(k: int, m: int, ctx: PrecisionContext) -> tuple:
+    """The poles of F(s) = 2^-k ``dual_product(k, rho, m)`` = Gamma^k(s)
+    zeta^k(s) zeta^k(2m+1+s) cos^{k-1}(pi s/2) rho^{-s} left of
+    ``fold_line(m)``, (p, order, jet): (0, k), (-2m, k) and (1-2j, 1) for
+    0 <= j <= m+1, each jet the rho-free Taylor coefficients of
+    (s-p)^order F(s) rho^s at p; memoized per (k, m, precision) in
+    special._JET_MEMO. Raises DomainError for m = 0.
+
+    Gamma^k(s) has order-k poles at s = 0, -1, ...; at s = -2n < 0 the
+    trivial zeros of zeta^k(s) cancel them, except at -2m, the pole of
+    zeta^k(2m+1+s). At s = 1-2j (at 1, the pole of zeta^k(s)) the zeros of
+    cos^{k-1} leave a simple pole, cancelled by the trivial zeros of
+    zeta^k(2m+2-2j) for j > m+1. The jet at -2m is the one at 0 under
+    s -> -2m-s, which maps F(s) rho^s (2 pi)^{-ks} to (-1)^m times itself."""
+    if m == 0:
+        raise special.DomainError("m must be nonzero (s=0 would sit on a pole)")
+    key = ("poles", k, m, ctx.prec_bits)
+    if key not in special._JET_MEMO:
+        with ctx.scoped():
+            j0 = special.series_mul(
+                special.series_mul(special.series_pow(special.zeta_jet(2 * m + 1, k, ctx), k),
+                                   special._gamma_zeta_jet(k, k, ctx)),
+                special.series_pow(special._cos_jet(k), k - 1))
+            tau = 2 * mp.pi
+            jr = special.series_mul([(-1) ** r * c for r, c in enumerate(j0)], special.series_exp(
+                [mpf(0), 2 * k * mp.log(tau)] + [mpf(0)] * (k - 2)))
+            scale = (-1) ** (m + k) * tau ** (-2 * k * m)
+            simple = [(1 - 2 * j, 1, [(-1) ** (j + 1) * mpf(2) ** (1 - k) / mp.pi
+                                      * (special.zeta(2 * m + 2 - 2 * j, ctx)
+                                         * special.zeta(2 * j, ctx)) ** k * tau ** (k - 2 * k * j)])
+                      for j in range(m + 2)]
+            special._JET_MEMO[key] = ((0, k, j0), (-2 * m, k, [scale * c for c in jr]), *simple)
+    return special._JET_MEMO[key]
+
+
+def pole_residue(pole: tuple, rho):
+    """Res_{s=p} F(s) at rho for a ``fold_poles`` entry (p, order, jet): rho^-p
+    times the top coefficient of jet(e) e^{-e ln rho}. Call inside a precision scope."""
+    if not rho > 0:
+        raise special.DomainError("rho must be positive")
+    return rho ** -pole[0] * special._top_coefficient(pole[2], -mp.log(rho))
 
 
 def series_L(k: int, m: int, rho, ctx: PrecisionContext, strategy: str = "fold") -> mpf:

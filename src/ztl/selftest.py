@@ -21,8 +21,8 @@ from mpmath import mp, mpf, mpc
 
 from .hp import with_precision
 from . import special, mellin
-from .psi import (_TERMS_CAP, _terms_series, divisor_counts, dual_product, fold_line, psi,
-                  series_L)
+from .psi import (_TERMS_CAP, _terms_series, divisor_counts, dual_product, fold_line,
+                  fold_poles, pole_residue, psi, series_L)
 from . import identities
 
 _SEED = 20240131
@@ -486,11 +486,13 @@ def check_theta_reflection_duality(ctx):
 
 
 def check_jets_match_circles(ctx):
-    """The Taylor-jet residue terms against Cauchy circles of the same
-    functions: derivative_term (k <= 4, m = +-1, +-2), eta_derivative_term
-    (k <= 4), each at rho = (2 alpha)^k, theta in {0, 0.3, 1}, and Dixit's
-    zeta'/zeta(2m+1) (m = +-1). Relative gap below 10^-(digits-5); at
-    theta = 0 the eta jet must be exactly 0 and the circle below the bound."""
+    """The residue jets against Cauchy circles of the same functions: each
+    ``psi.fold_poles`` entry (k <= 4, m = +-1, +-2), which must lie left of
+    ``fold_line(m)``, its residue at rho = (2 alpha)^k against a circle of
+    s^order F(p+s) about p at theta = 0.3 (p = 0 also at theta = 0 and 1);
+    eta_derivative_term (k <= 4) at the three theta; Dixit's zeta'/zeta(2m+1)
+    (m = +-1). Relative gap below 10^-(digits-5); at theta = 0 the eta jet
+    must be exactly 0 and the circle below the bound."""
     tol = ctx.tolerance(5)
     thetas = [mpf(0), mpf(3) / 10, mpf(1)]
     with ctx.scoped():
@@ -499,17 +501,22 @@ def check_jets_match_circles(ctx):
         def circle(f, order):
             return mellin.cauchy_derivative(f, order, ctx).real / mp.factorial(order)
 
+        def fold(z, k, m, lnr):   # the fold integrand F(z) at rho = e^lnr
+            return ((special.gamma(z, ctx) * special.zeta(z, ctx)
+                     * special.zeta(2 * m + 1 + z, ctx)) ** k
+                    * mp.cospi(z / 2) ** (k - 1) * mp.exp(-z * lnr))
+
         for k in range(1, 5):
             for th in thetas:
                 lnr = k * mp.log(2 * identities.alpha_beta(th, ctx)[0])
                 for m in (-2, -1, 1, 2):
-                    f = (lambda s, k=k, m=m, lnr=lnr:
-                         special.zeta(2 * m + 1 + s, ctx) ** k * special.zeta(s, ctx) ** k
-                         * special.gamma(1 + s, ctx) ** k * mp.cospi(s / 2) ** (k - 1)
-                         * mp.exp(-s * lnr))
-                    a = identities.derivative_term(k, m, mp.exp(lnr), ctx)
-                    b = circle(f, k - 1)
-                    gaps.append(abs(a - b) / abs(b))
+                    for p, order, jet in fold_poles(k, m, ctx):
+                        if not p < fold_line(m)[0]:
+                            return False, f"pole {p} of (k, m) = ({k}, {m}) is not left of its line"
+                        if p == 0 or th == thetas[1]:
+                            b = circle(lambda s: s ** order * fold(p + s, k, m, lnr), order - 1)
+                            a = pole_residue((p, order, jet), mp.exp(lnr))
+                            gaps.append(abs(a - b) / abs(b))
                 g = (lambda s, k=k, th=th:
                      (special.gamma(1 + s, ctx) * special.gamma(1 - s, ctx)
                       * special.zeta(s, ctx) * special.zeta(-s, ctx)) ** k
@@ -548,11 +555,12 @@ def check_lerch_value(ctx):
 
 
 def check_residue_assembly(ctx):
+    """``identities.residue_assembly_check`` at rho = (2 pi)^k, below 10^(8-digits)."""
     tol = ctx.tolerance(8)
     with ctx.scoped():
-        lhs, rhs = identities.residue_assembly_check(1, 1, (2 * mp.pi) ** 1, ctx)
-        res = abs(lhs - rhs)
-        return res < tol, f"contour-shift bookkeeping residual {mp.nstr(res, 3)}"
+        res = [abs(lhs - rhs) for k, m in ((1, 1), (2, -2), (3, -1))
+               for lhs, rhs in [identities.residue_assembly_check(k, m, (2 * mp.pi) ** k, ctx)]]
+        return max(res) < tol, f"contour-shift bookkeeping residuals {mp.nstr(res, 3)}"
 
 
 CHECKS = [

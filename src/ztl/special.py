@@ -26,15 +26,15 @@ Three evaluation surfaces coexist:
   run of a fold line, where the integrand has fallen far below its peak;
   the kernel sizes N, J and its fixed-point width from the bits it is
   handed.
-* Taylor jets at s = 0 (``zeta_jet``, ``log_gamma1_jet`` and the
-  ``series_*`` helpers), from which the identities' residue terms are read.
+* Taylor jets at s = 0 (``zeta_jet``, ``log_gamma1_jet``, ``series_*``
+  and the cos and top-coefficient helpers) that build the residue jets.
 
 Every evaluation is memoized per node: Gamma and scalar zeta per point,
 ``zeta_vertical_run`` per (abscissa, t, bits), and ``_PRODUCT_MEMO`` holds the
 base-free products of ``mellin.VerticalProduct``, one ``FixedLine`` per
 line: fixed-point (re, im) ints under one exponent for the line, keyed by
-the int node index n of t = n * grid. ``_JET_MEMO`` holds the rho-free
-residue jets. ``clear_caches`` empties all five.
+the int node index n of t = n * grid. ``_JET_MEMO`` holds ``psi.fold_poles``'s
+tables and the eta jets. ``clear_caches`` empties all five.
 """
 
 from __future__ import annotations
@@ -170,12 +170,10 @@ def zeta(s, ctx: PrecisionContext):
 
 
 # ---------------------------------------------------------------------------
-# Taylor jets: truncated power series [c_0, ..., c_{n-1}] at s = 0, the
-# residue terms of the identities. Call inside the caller's precision scope.
+# Taylor jets: truncated power series [c_0, ..., c_{n-1}], the residue jets
+# of ``psi.fold_poles`` and the eta term. Call inside a precision scope.
 
-# ("derivative", k, m, prec) or ("eta", k, prec) -> rho-free jet; filled by
-# the identities' residue terms
-_JET_MEMO: dict = {}
+_JET_MEMO: dict = {}    # ("poles", k, m, prec) -> pole table, ("eta", k, prec) -> jet
 
 
 def series_mul(a: list, b: list) -> list:
@@ -197,6 +195,26 @@ def series_exp(a: list) -> list:
     for r in range(1, len(a)):
         b.append(mp.fsum(j * a[j] * b[r - j] for j in range(1, r + 1)) / r)
     return b
+
+
+def _top_coefficient(jet: list, x):
+    """The last Taylor coefficient of jet(s) exp(x s): a dot product with
+    the jet x^r / r! of exp(x s)."""
+    n = len(jet)
+    e = series_exp([mpf(0), x] + [mpf(0)] * (n - 2))
+    return mp.fsum(jet[r] * e[n - 1 - r] for r in range(n))
+
+
+def _cos_jet(n: int) -> list:
+    """Taylor coefficients of cos(pi s/2), r < n; the odd ones are exact zeros."""
+    return [(-1) ** (r // 2) * (mp.pi / 2) ** r / mp.factorial(r) if r % 2 == 0 else mpf(0)
+            for r in range(n)]
+
+
+def _gamma_zeta_jet(k: int, n: int, ctx: PrecisionContext) -> list:
+    """Taylor coefficients of Gamma^k(1+s) zeta^k(s), r < n."""
+    return series_mul(series_exp([k * c for c in log_gamma1_jet(n, ctx)]),
+                      series_pow(zeta_jet(0, n, ctx), k))
 
 
 def zeta_jet(a: int, n: int, ctx: PrecisionContext) -> list:

@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from ztl import hp, special, identities as idn
+from ztl.psi import fold_poles
 
 
 def _fd_derivative_oracle(f, order, digits):
@@ -58,8 +59,15 @@ def test_derivative_term_k2_vs_finite_difference(ctx50):
 
 
 def test_derivative_term_requires_nonzero_m(ctx50):
-    with pytest.raises(special.DomainError):
+    with pytest.raises(special.DomainError, match="m must be nonzero"):
         idn.derivative_term(2, 0, mpf(1), ctx50)
+    with pytest.raises(special.DomainError, match="m must be nonzero"):
+        fold_poles(2, 0, ctx50)
+    # the m check comes before the rho check
+    with pytest.raises(special.DomainError, match="m must be nonzero"):
+        idn.derivative_term(2, 0, mpf(-1), ctx50)
+    with pytest.raises(special.DomainError, match="rho must be positive"):
+        idn.derivative_term(2, 1, mpf(-1), ctx50)
 
 
 @pytest.mark.parametrize("term", ["derivative", "eta"])
